@@ -58,4 +58,4 @@ from .synth import TONE_FREQS, tone_samples, write_tone_dataset
 from .train import ClipStore, EpochReport, TrainConfig, cross_entropy, evaluate, fit, one_hot, train_epoch
 from .wav import SAMPLE_RATE, AudioClip, decode_wav, read_wav, write_wav
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -14,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import to_window
 from .checkpoint import load_checkpoint
-from .commands import StreamConfig, decide, classify_window, stream_decode
+from .commands import StreamConfig, accepts, recognize_clip, stream_decode
 from .dataset import index_dataset, subsample_unknown
 from .errors import (
     BadMagic,
@@ -26,7 +25,7 @@ from .errors import (
     VoicehandError,
 )
 from .features import compute_features, export_csv
-from .gestures import CLASS_NAMES, GestureClass, GestureTable
+from .gestures import CLASS_NAMES, GestureTable
 from .network import (
     REFERENCE_LAYER_PARAMS,
     REFERENCE_NON_TRAINABLE,
@@ -82,6 +81,15 @@ def _pick(flag_value, config, key, default):
     return default
 
 
+def _pick_as(convert, flag_value, config, key, default):
+    """`_pick`, converted; a config value of the wrong type is a usage error."""
+    value = _pick(flag_value, config, key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"config key {key}: expected {convert.__name__}, got {value!r}")
+
+
 def _resolve_data_dir(flag_value, config):
     value = _pick(flag_value, config, "data-dir", os.environ.get(DATA_DIR_ENV))
     if value is None:
@@ -120,11 +128,11 @@ def cmd_train(args) -> int:
     out_dir = _pick(args.out, config_file, "out", None)
     if out_dir is None:
         raise UsageError("train needs --out")
-    seed = int(_pick(args.seed, config_file, "seed", 17))
+    seed = _pick_as(int, args.seed, config_file, "seed", 17)
     config = TrainConfig(
-        epochs=int(_pick(args.epochs, config_file, "epochs", TrainConfig.epochs)),
-        batch_size=int(_pick(args.batch_size, config_file, "batch-size", TrainConfig.batch_size)),
-        learning_rate=float(_pick(args.lr, config_file, "lr", TrainConfig.learning_rate)),
+        epochs=_pick_as(int, args.epochs, config_file, "epochs", TrainConfig.epochs),
+        batch_size=_pick_as(int, args.batch_size, config_file, "batch-size", TrainConfig.batch_size),
+        learning_rate=_pick_as(float, args.lr, config_file, "lr", TrainConfig.learning_rate),
         seed=seed,
         augment=not bool(_pick(args.no_augment, config_file, "no-augment", False)),
     )
@@ -170,21 +178,20 @@ def cmd_recognize(args) -> int:
     network, _ = _network_from_checkpoint(args.checkpoint)
     clip = _read_clip(args.wav)
     table = _load_table(args.gesture_table)
-    probs = classify_window(network, to_window(clip))
-    decision = decide(probs, table)
-    accepted = decision.prob >= args.threshold and decision.gesture != GestureClass.UNKNOWN
-    doc = {
-        "class": decision.gesture.word,
-        "prob": round(decision.prob, 6),
-        "accepted": accepted,
-        "trajectory": list(decision.trajectory.as_tuple()) if accepted and decision.trajectory else None,
-        "frames": [list(f.as_bytes()) for f in decision.frames] if accepted else [],
-    }
-    print(json.dumps(doc))
+    decision = recognize_clip(network, clip, table)
+    print(decision.to_json(accepts(decision.prob, decision.gesture, args.threshold)))
     return 0
 
 
 def cmd_stream(args) -> int:
+    try:
+        config = StreamConfig(
+            hop_ms=args.hop_ms,
+            decision_threshold=args.threshold,
+            refractory_ms=args.refractory_ms,
+        )
+    except ValueError as e:
+        raise UsageError(f"stream: {e}")
     network, _ = _network_from_checkpoint(args.checkpoint)
     table = _load_table(args.gesture_table)
     if args.input == "pcm-stdin":
@@ -196,11 +203,6 @@ def cmd_stream(args) -> int:
         samples = _read_clip(args.input[4:]).samples
     else:
         raise UsageError("stream --input takes wav:PATH or pcm-stdin")
-    config = StreamConfig(
-        hop_ms=args.hop_ms,
-        decision_threshold=args.threshold,
-        refractory_ms=args.refractory_ms,
-    )
     for decision in stream_decode(network, samples, table, config):
         print(decision.to_json(), flush=True)
     return 0

@@ -87,15 +87,27 @@ class Decision:
     frames: tuple  # of DacFrame
     t_ms: Optional[int] = None  # window end time within a stream
 
-    def to_json(self) -> str:
+    def to_json(self, accepted=None) -> str:
+        """The wire JSON. Given `accepted` (a single-clip decision), the
+        document carries it after prob, and a rejected decision carries
+        no trajectory and no frames: the hand holds its pose."""
         doc = {}
         if self.t_ms is not None:
             doc["t_ms"] = int(self.t_ms)
         doc["class"] = self.gesture.word
         doc["prob"] = round(float(self.prob), 6)
-        doc["trajectory"] = list(self.trajectory.as_tuple()) if self.trajectory else None
-        doc["frames"] = [list(f.as_bytes()) for f in self.frames]
+        if accepted is not None:
+            doc["accepted"] = accepted
+        sent = accepted is not False
+        doc["trajectory"] = list(self.trajectory.as_tuple()) if sent and self.trajectory else None
+        doc["frames"] = [list(f.as_bytes()) for f in self.frames] if sent else []
         return json.dumps(doc)
+
+
+def accepts(prob: float, gesture: GestureClass, threshold: float) -> bool:
+    """The acceptance rule of recognize and stream: a known word whose
+    probability reaches the threshold."""
+    return prob >= threshold and gesture != GestureClass.UNKNOWN
 
 
 def classify_window(network, window_values: np.ndarray) -> np.ndarray:
@@ -151,8 +163,8 @@ def stream_decode(network, samples: np.ndarray, table: GestureTable = None,
     """Decode a long 16 kHz PCM recording into command decisions.
 
     Slides a one-second window by hop_ms and yields a Decision whenever
-    the top probability clears the threshold, the class is a known word,
-    and at least refractory_ms passed since the last emission. t_ms is
+    the window `accepts` at the decision threshold and at least
+    refractory_ms passed since the last emission. t_ms is
     the end of the emitting window.
     """
     table = table or GestureTable.default()
@@ -161,11 +173,7 @@ def stream_decode(network, samples: np.ndarray, table: GestureTable = None,
         window = to_window_values(samples[offset : offset + WINDOW_SAMPLES], pad=False)
         probs = classify_window(network, window)
         idx = int(np.argmax(probs))
-        prob = float(probs[idx])
-        if prob < config.decision_threshold:
-            continue
-        gesture = GestureClass(idx)
-        if gesture == GestureClass.UNKNOWN:
+        if not accepts(float(probs[idx]), GestureClass(idx), config.decision_threshold):
             continue
         t_ms = (offset + WINDOW_SAMPLES) * 1000 // SAMPLE_RATE
         if last_emit_ms is not None and t_ms - last_emit_ms < config.refractory_ms:

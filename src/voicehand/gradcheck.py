@@ -2,8 +2,8 @@
 
 Central differences on the mean cross-entropy loss, parameter by
 parameter. Dropout is forced off for the duration and batch-norm moving
-statistics are restored after every probe, so each loss evaluation sees
-identical network state. Build the network under test with float64; at
+statistics are restored when the check ends (train-mode batch-norm never
+reads them), so each loss evaluation sees identical network state. Build the network under test with float64; at
 float32 the h=1e-5 probes drown in rounding noise.
 
 Finite differences are only trustworthy when no probe crosses a ReLU or
@@ -11,11 +11,36 @@ max-pool tie, so check batches should be drawn with draw_checkable_batch,
 which rejects inputs until every tie margin clears a per-layer threshold.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 
-from .layers import BatchNorm, Conv2D, Dense, Dropout, MaxPool2D
+from .layers import BatchNorm, Dropout
 from .network import INPUT_SHAPE, Network
 from .train import cross_entropy
+
+
+@contextmanager
+def _probe_mode(network: Network):
+    """Dropout off for the duration, batch-norm moving statistics put back
+    on exit. Inside, every layer runs as `layer.forward(h, "train")`:
+    batch-norm standardizes with batch statistics, which the moving
+    statistics never feed, so every loss evaluation sees the same network.
+    """
+    dropouts = [l for l in network.layers if isinstance(l, Dropout)]
+    norms = [l for l in network.layers if isinstance(l, BatchNorm)]
+    rates = [l.rate for l in dropouts]
+    stats = [(l.moving_mean.copy(), l.moving_var.copy()) for l in norms]
+    try:
+        for layer in dropouts:
+            layer.rate = 0.0
+        yield
+    finally:
+        for layer, rate in zip(dropouts, rates):
+            layer.rate = rate
+        for layer, (mean, var) in zip(norms, stats):
+            layer.moving_mean[...] = mean
+            layer.moving_var[...] = var
 
 
 def tie_margins(network: Network, x) -> dict:
@@ -25,46 +50,22 @@ def tie_margins(network: Network, x) -> dict:
     the smallest gap between a tile's top two values. A parameter probe of
     size h moves a pre-activation by at most h times the probe's
     sensitivity, so margins above a sensitivity-aware threshold guarantee
-    kink-free loss evaluations. Dropout is treated as identity (margins
-    are meaningful for dropout-off checks only); batch-norm runs in train
-    mode with its moving statistics restored afterwards.
+    kink-free loss evaluations. Runs in `_probe_mode`, so margins are
+    meaningful for dropout-off checks only.
     """
     h_act = np.asarray(x, dtype=network.dtype)
     margins = {}
-    norms = [l for l in network.layers if isinstance(l, BatchNorm)]
-    saved = [(l.moving_mean.copy(), l.moving_var.copy()) for l in norms]
-    try:
+    with _probe_mode(network):
         for layer in network.layers:
-            if isinstance(layer, Conv2D):
-                out, cache = layer.forward(h_act)
-                cols = cache[0]
-                z = cols @ layer.weights.reshape(-1, layer.weights.shape[-1]) + layer.biases
-                margins[layer.name] = float(np.abs(z).min())
-                h_act = out
-            elif isinstance(layer, MaxPool2D):
-                n, ih, iw, c = h_act.shape
-                oh, ow = ih // layer.pool_h, iw // layer.pool_w
-                crop = h_act[:, : oh * layer.pool_h, : ow * layer.pool_w, :]
-                tiles = crop.reshape(n, oh, layer.pool_h, ow, layer.pool_w, c)
-                tiles = tiles.transpose(0, 1, 3, 2, 4, 5).reshape(n, oh, ow, -1, c)
-                top2 = np.partition(tiles, -2, axis=3)[:, :, :, -2:, :]
+            if hasattr(layer, "tiles"):
+                top2 = np.partition(layer.tiles(h_act), -2, axis=3)[:, :, :, -2:, :]
                 margins[layer.name] = float((top2[..., 1, :] - top2[..., 0, :]).min())
-                h_act, _ = layer.forward(h_act)
-            elif isinstance(layer, BatchNorm):
-                h_act, _ = layer.forward(h_act, "train")
-            elif isinstance(layer, Dropout):
-                pass
-            elif isinstance(layer, Dense):
-                z = h_act @ layer.weights + layer.biases
-                if layer.activation == "relu":
-                    margins[layer.name] = float(np.abs(z).min())
-                h_act, _ = layer.forward(h_act)
-            else:
-                h_act, _ = layer.forward(h_act)
-    finally:
-        for layer, (mean, var) in zip(norms, saved):
-            layer.moving_mean[...] = mean
-            layer.moving_var[...] = var
+            h_act, cache = layer.forward(h_act, "train")
+            if getattr(layer, "activation", None) == "relu":
+                # cache[0] is the conv patch matrix or the dense input
+                w = layer.weights
+                z = cache[0] @ w.reshape(-1, w.shape[-1]) + layer.biases
+                margins[layer.name] = float(np.abs(z).min())
     return margins
 
 
@@ -86,14 +87,9 @@ def draw_checkable_batch(network: Network, rng, thresholds: dict, batch_size: in
 
 
 def _forward_suffix(network: Network, start: int, h_act):
-    """Train-mode forward through layers[start:], dropout as identity."""
+    """Forward through layers[start:]; call inside `_probe_mode`."""
     for layer in network.layers[start:]:
-        if isinstance(layer, BatchNorm):
-            h_act, _ = layer.forward(h_act, "train")
-        elif isinstance(layer, Dropout):
-            pass
-        else:
-            h_act, _ = layer.forward(h_act)
+        h_act, _ = layer.forward(h_act, "train")
     return h_act
 
 
@@ -118,22 +114,8 @@ def gradient_check(network: Network, x, targets_onehot, h: float = 1e-5, names=N
     targets = np.asarray(targets_onehot, dtype=network.dtype)
     labels = np.argmax(targets, axis=1)
 
-    dropouts = [l for l in network.layers if isinstance(l, Dropout)]
-    saved_rates = [l.rate for l in dropouts]
-    norms = [l for l in network.layers if isinstance(l, BatchNorm)]
-    saved_stats = [(l.moving_mean.copy(), l.moving_var.copy()) for l in norms]
-
-    def restore_stats():
-        for layer, (mean, var) in zip(norms, saved_stats):
-            layer.moving_mean[...] = mean
-            layer.moving_var[...] = var
-
-    try:
-        for layer in dropouts:
-            layer.rate = 0.0
-
+    with _probe_mode(network):
         _, trace = network.forward(x, mode="train")
-        restore_stats()
         analytic = network.backward(trace, targets)
 
         # unperturbed input to every layer, for suffix-only probe forwards
@@ -141,13 +123,7 @@ def gradient_check(network: Network, x, targets_onehot, h: float = 1e-5, names=N
         h_act = x
         for layer in network.layers:
             layer_inputs.append(h_act)
-            if isinstance(layer, BatchNorm):
-                h_act, _ = layer.forward(h_act, "train")
-            elif isinstance(layer, Dropout):
-                pass
-            else:
-                h_act, _ = layer.forward(h_act)
-        restore_stats()
+            h_act, _ = layer.forward(h_act, "train")
         owner = {layer.name: k for k, layer in enumerate(network.layers)}
 
         params = network.parameters()
@@ -164,11 +140,9 @@ def gradient_check(network: Network, x, targets_onehot, h: float = 1e-5, names=N
                 orig = float(theta.flat[i])
                 theta.flat[i] = orig + h  # .flat writes through views too
                 probs = _forward_suffix(network, start, layer_inputs[start])
-                restore_stats()
                 loss_plus = cross_entropy(probs, labels)
                 theta.flat[i] = orig - h
                 probs = _forward_suffix(network, start, layer_inputs[start])
-                restore_stats()
                 loss_minus = cross_entropy(probs, labels)
                 theta.flat[i] = orig
                 numeric = (loss_plus - loss_minus) / (2.0 * h)
@@ -176,8 +150,4 @@ def gradient_check(network: Network, x, targets_onehot, h: float = 1e-5, names=N
                 err = abs(a - numeric) / max(abs(a), abs(numeric), denom_floor)
                 tensor_worst = max(tensor_worst, err)
             worst[name] = tensor_worst
-        return worst
-    finally:
-        for layer, rate in zip(dropouts, saved_rates):
-            layer.rate = rate
-        restore_stats()
+    return worst

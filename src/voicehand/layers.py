@@ -1,9 +1,11 @@
 """Network layers with hand-written forward and backward passes.
 
 Activations are tensors in channels-last layout: (batch, height, width,
-channels) for the 2D stages, (batch, features) after flattening. Each
-layer's forward returns (output, cache); backward takes the upstream
-gradient plus that cache and returns (input gradient, parameter grads).
+channels) for the 2D stages, (batch, features) after flattening. Every
+layer is called as forward(x, mode="infer", rng=None), where mode is
+"train" or "infer" and rng drives dropout, and returns (output, cache);
+backward takes the upstream gradient plus that cache and returns (input
+gradient, parameter grads).
 Parameter dtype is float32 in production and float64 in verification
 builds; a layer never changes the dtype it was built with.
 """
@@ -29,12 +31,14 @@ class Conv2D:
     gradient.
     """
 
+    activation = "relu"
+
     def __init__(self, name, weights, biases):
         self.name = name
         self.weights = weights
         self.biases = biases
 
-    def forward(self, x):
+    def forward(self, x, mode="infer", rng=None):
         fh, fw, cin, cout = self.weights.shape
         if x.ndim != 4 or x.shape[3] != cin:
             raise ShapeMismatch(f"{self.name}: expected (n, h, w, {cin}), got {x.shape}")
@@ -83,7 +87,8 @@ class MaxPool2D:
         self.pool_h = pool_h
         self.pool_w = pool_w
 
-    def _tiles(self, x):
+    def tiles(self, x):
+        """Windows of x as (n, oh, ow, pool_h * pool_w, c), row-major within a window."""
         n, h, w, c = x.shape
         ph, pw = self.pool_h, self.pool_w
         oh, ow = h // ph, w // pw
@@ -91,12 +96,12 @@ class MaxPool2D:
         tiles = cropped.reshape(n, oh, ph, ow, pw, c).transpose(0, 1, 3, 2, 4, 5)
         return tiles.reshape(n, oh, ow, ph * pw, c)
 
-    def forward(self, x):
+    def forward(self, x, mode="infer", rng=None):
         if x.ndim != 4:
             raise ShapeMismatch(f"{self.name}: expected 4D input, got {x.shape}")
         if x.shape[1] < self.pool_h or x.shape[2] < self.pool_w:
             raise ShapeMismatch(f"{self.name}: input {x.shape} smaller than pool window")
-        tiles = self._tiles(x)
+        tiles = self.tiles(x)
         argmax = tiles.argmax(axis=3)
         y = np.take_along_axis(tiles, argmax[:, :, :, None, :], axis=3)[:, :, :, 0, :]
         return y, (argmax, x.shape)
@@ -137,7 +142,7 @@ class BatchNorm:
         self.moving_mean = np.zeros(channels, dtype=dtype)
         self.moving_var = np.ones(channels, dtype=dtype)
 
-    def forward(self, x, mode):
+    def forward(self, x, mode="infer", rng=None):
         if x.shape[-1] != self.gamma.shape[0]:
             raise ShapeMismatch(f"{self.name}: expected {self.gamma.shape[0]} channels, got {x.shape}")
         axes = tuple(range(x.ndim - 1))
@@ -183,7 +188,7 @@ class Flatten:
     def __init__(self, name):
         self.name = name
 
-    def forward(self, x):
+    def forward(self, x, mode="infer", rng=None):
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, d_out, cache):
@@ -210,7 +215,7 @@ class Dense:
         self.biases = biases
         self.activation = activation
 
-    def forward(self, x):
+    def forward(self, x, mode="infer", rng=None):
         if x.ndim != 2 or x.shape[1] != self.weights.shape[0]:
             raise ShapeMismatch(
                 f"{self.name}: expected (n, {self.weights.shape[0]}), got {x.shape}"
@@ -252,7 +257,7 @@ class Dropout:
         self.name = name
         self.rate = rate
 
-    def forward(self, x, mode, rng=None):
+    def forward(self, x, mode="infer", rng=None):
         if mode != "train" or self.rate == 0.0:
             return x, np.ones(x.shape, dtype=bool)
         if rng is None:

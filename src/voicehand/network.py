@@ -1,12 +1,13 @@
 """The fixed 9-class recognition network.
 
 Architecture, in order: 129x71x1 log-spectrogram input -> conv 8@10x7
-(ReLU) -> maxpool 7x5 -> batchnorm -> conv 32@7x5 (ReLU) -> maxpool 3x5
+(ReLU) -> maxpool 7x5 -> batchnorm -> conv 32@7x5 (ReLU) -> maxpool 5x3
 -> batchnorm -> flatten -> dense 64 (ReLU) -> dropout -> dense 9
 (softmax). Pooling is non-overlapping: the published stride-1 figure for
 the pooling rows contradicts the layer output shapes, and the shapes and
 parameter counts only reconcile with stride = pool size, so shapes
-govern.
+govern. `ARCH` states the architecture once: `build_network` interprets
+it and `output_shapes` derives every shape from it.
 
 22577 trainable parameters plus 80 batch-norm moving statistics.
 """
@@ -80,12 +81,7 @@ class Network:
         h = np.asarray(x, dtype=self.dtype)
         caches = []
         for layer in self.layers:
-            if isinstance(layer, BatchNorm):
-                h, cache = layer.forward(h, mode)
-            elif isinstance(layer, Dropout):
-                h, cache = layer.forward(h, mode, dropout_rng)
-            else:
-                h, cache = layer.forward(h)
+            h, cache = layer.forward(h, mode, dropout_rng)
             caches.append(cache)
         if mode == "train":
             return h, ForwardTrace(caches=caches, probs=h, version=self.version)
@@ -101,14 +97,10 @@ class Network:
         if targets.shape != trace.probs.shape:
             raise ShapeMismatch(f"targets {targets.shape} vs probs {trace.probs.shape}")
         d = (trace.probs - targets) / trace.probs.shape[0]
-        grads = {}
-        at_logits = True  # only for the final softmax layer
-        for layer, cache in zip(reversed(self.layers), reversed(trace.caches)):
-            if isinstance(layer, Dense):
-                d, layer_grads = layer.backward(d, cache, at_logits=at_logits)
-            else:
-                d, layer_grads = layer.backward(d, cache)
-            at_logits = False
+        *body, last = self.layers
+        d, grads = last.backward(d, trace.caches[-1], at_logits=True)
+        for layer, cache in zip(reversed(body), reversed(trace.caches[:-1])):
+            d, layer_grads = layer.backward(d, cache)
             grads.update(layer_grads)
         return grads
 
@@ -127,9 +119,12 @@ class Network:
         return out
 
 
-def build_network(seed=17, dtype=np.float32, dropout_rate=0.5) -> Network:
-    """Fresh network with Glorot-uniform weights, zero biases, identity
-    batch-norm (gamma 1, beta 0, moving mean 0, moving var 1)."""
+def build_network(seed=17, dtype=np.float32, dropout_rate=None) -> Network:
+    """Fresh network built from `ARCH`: Glorot-uniform weights drawn in
+    layer order, zero biases, identity batch-norm (gamma 1, beta 0, moving
+    mean 0, moving var 1). Each layer's fan-in is the previous layer's
+    output shape: its channels for a conv, its length for a dense.
+    `dropout_rate` overrides the rate `ARCH` states."""
     rng = substream(seed, "init")
     dtype = np.dtype(dtype)
 
@@ -137,26 +132,26 @@ def build_network(seed=17, dtype=np.float32, dropout_rate=0.5) -> Network:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
-    def conv(name, fh, fw, cin, cout):
-        w = glorot((fh, fw, cin, cout), fh * fw * cin, fh * fw * cout)
-        return Conv2D(name, w, np.zeros(cout, dtype=dtype))
-
-    def dense(name, n_in, n_out, activation):
-        w = glorot((n_in, n_out), n_in, n_out)
-        return Dense(name, w, np.zeros(n_out, dtype=dtype), activation=activation)
-
-    layers = [
-        conv("conv1", 10, 7, 1, 8),
-        MaxPool2D("pool1", 7, 5),
-        BatchNorm("bn1", 8, dtype=dtype),
-        conv("conv2", 7, 5, 8, 32),
-        MaxPool2D("pool2", 5, 3),
-        BatchNorm("bn2", 32, dtype=dtype),
-        Flatten("flatten"),
-        dense("dense1", 192, 64, "relu"),
-        Dropout("dropout", rate=dropout_rate),
-        dense("dense2", 64, 9, "softmax"),
-    ]
+    layers = []
+    for spec, in_shape in zip(ARCH, [INPUT_SHAPE] + output_shapes(INPUT_SHAPE, ARCH)):
+        kind, name = spec["type"], spec["name"]
+        if kind == "conv":
+            fh, fw = spec["filter_size"]
+            cin, cout = in_shape[-1], spec["filters"]
+            w = glorot((fh, fw, cin, cout), fh * fw * cin, fh * fw * cout)
+            layers.append(Conv2D(name, w, np.zeros(cout, dtype=dtype)))
+        elif kind == "maxpool":
+            layers.append(MaxPool2D(name, *spec["pool_size"]))
+        elif kind == "batchnorm":
+            layers.append(BatchNorm(name, spec["channels"], spec["epsilon"], spec["momentum"], dtype))
+        elif kind == "flatten":
+            layers.append(Flatten(name))
+        elif kind == "dense":
+            n_in, n_out = in_shape[0], spec["units"]
+            w = glorot((n_in, n_out), n_in, n_out)
+            layers.append(Dense(name, w, np.zeros(n_out, dtype=dtype), activation=spec["activation"]))
+        elif kind == "dropout":
+            layers.append(Dropout(name, spec["rate"] if dropout_rate is None else dropout_rate))
     return Network(layers, dtype=dtype)
 
 

@@ -56,7 +56,8 @@ def decode_wav(data: bytes) -> AudioClip:
                 raise UnsupportedChannels(f"need mono, got {channels} channels")
             if rate != SAMPLE_RATE:
                 raise UnsupportedSampleRate(f"need {SAMPLE_RATE} Hz, got {rate}")
-            samples = np.frombuffer(body[: chunk_size - chunk_size % 2], dtype="<i2")
+            # a truncated file holds fewer bytes than chunk_size claims
+            samples = np.frombuffer(body[: len(body) - len(body) % 2], dtype="<i2")
             return AudioClip(samples=samples.astype(np.int16), sample_rate_hz=rate)
         # chunks are word-aligned: odd sizes carry a pad byte
         pos += 8 + chunk_size + (chunk_size & 1)

@@ -214,6 +214,21 @@ def test_stream_bad_input_scheme_is_usage_error(trained, capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--hop-ms", "0"),
+    ("--threshold", "1.5"),
+    ("--refractory-ms", "-1"),
+])
+def test_stream_bad_policy_flag_is_usage_error(tmp_path, capsys, flag, value):
+    # the policy is checked before the checkpoint is read, so a missing one is never reached
+    code, out, err = run_cli(capsys, "stream", "--checkpoint", str(tmp_path / "absent.ckpt"),
+                             "--input", "pcm-stdin", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------- eval
 
 
@@ -331,6 +346,23 @@ def test_train_broken_config_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "train", "--config", str(config))
     assert code == 1
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epochs", "abc"),
+    ("batch-size", None),
+    ("lr", "fast"),
+    ("seed", [1]),
+])
+def test_train_wrong_typed_config_value_is_usage_error(tmp_path, capsys, key, value):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"data-dir": str(tmp_path / "data"),
+                                  "out": str(tmp_path / "run"), key: value}))
+    code, _, err = run_cli(capsys, "train", "--config", str(config))
+    assert code == 1
+    assert err.startswith("usage error:")
+    assert key in err
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------- parser

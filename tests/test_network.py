@@ -1,8 +1,12 @@
 """Full-stack wiring: shapes, parameter counts, determinism, and the
 trace/mutation discipline."""
 
+import hashlib
+
 import numpy as np
 import pytest
+
+import voicehand.network
 
 from voicehand.errors import ShapeMismatch, StaleTrace
 from voicehand.gestures import CLASS_NAMES
@@ -90,6 +94,39 @@ def test_same_seed_same_network():
         not np.array_equal(pa, pc)
         for (_, pa), (_, pc) in zip(a.state_tensors(), c.state_tensors())
     )
+
+
+# sha256 over (name, tensor bytes) of every state tensor: pins the Glorot
+# draw order, the fan-ins and the dtype handling of build_network
+BUILD_DIGESTS = {
+    (0, "float32"): "442a0433aa10a911e5fd15d24ded4ef96d0601bbae719f39d553ba4f4578dc17",
+    (0, "float64"): "c0f2391cafb89a374bfb4e3c08e483ab9cc3fb67ee96ee319f887d764896b187",
+    (17, "float32"): "e28bcca0dc5f4adda6efe66dfcee1ec640ac2bebddc3b971526066783747b053",
+    (17, "float64"): "30ea257efaef583fd110ddfc44fed8d1f4cf244746fcf2fb4676b726887ddef5",
+}
+
+
+@pytest.mark.parametrize("seed, dtype", sorted(BUILD_DIGESTS))
+def test_built_tensors_are_bit_identical_to_pinned_digest(seed, dtype):
+    digest = hashlib.sha256()
+    for name, tensor in build_network(seed=seed, dtype=dtype).state_tensors():
+        digest.update(name.encode())
+        digest.update(tensor.tobytes())
+    assert digest.hexdigest() == BUILD_DIGESTS[(seed, dtype)]
+
+
+def test_build_network_follows_arch(monkeypatch):
+    arch = [dict(spec) for spec in voicehand.network.ARCH]
+    arch[3]["filters"] = arch[5]["channels"] = 16
+    arch[7]["units"] = 32
+    monkeypatch.setattr(voicehand.network, "ARCH", tuple(arch))
+    net = build_network(seed=17)
+    assert net["conv2"].weights.shape == (7, 5, 8, 16)
+    assert net["bn2"].gamma.shape == (16,)
+    assert net["dense1"].weights.shape == (96, 32)
+    assert net["dense2"].weights.shape == (32, 9)
+    probs, _ = net.forward(np.zeros((1,) + INPUT_SHAPE))
+    assert probs.shape == (1, 9)
 
 
 def test_init_statistics_follow_fan_based_limits():

@@ -4,7 +4,8 @@ session fixture."""
 import numpy as np
 import pytest
 
-from voicehand.commands import StreamConfig, stream_decode, window_offsets
+from voicehand.commands import StreamConfig, accepts, stream_decode, window_offsets
+from voicehand.gestures import GestureClass
 from voicehand.synth import tone_samples
 
 
@@ -32,6 +33,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StreamConfig(refractory_ms=-1)
     assert StreamConfig(hop_ms=500).hop_samples == 8000
+
+
+def test_accepts_at_the_threshold_and_never_unknown():
+    assert accepts(0.7, GestureClass.ONE, 0.7)
+    assert not accepts(np.nextafter(0.7, 0.0), GestureClass.ONE, 0.7)
+    assert accepts(1.0, GestureClass.ONE, 1.0)
+    assert not accepts(1.0, GestureClass.UNKNOWN, 0.0)
+    assert not accepts(0.7, GestureClass.UNKNOWN, 0.7)
 
 
 def _tone_in_silence(freq=2000.0, amplitude=0.5, phase=1.0):

@@ -58,6 +58,13 @@ def test_first_data_chunk_wins():
     np.testing.assert_array_equal(decode_wav(raw).samples, first)
 
 
+def test_truncated_data_chunk_keeps_whole_samples_present():
+    # the data chunk claims 100 bytes but the file ends after 5 of them
+    raw = wav_bytes(np.array([7, -8, 9], dtype=np.int16))[:-1]
+    raw = raw[:40] + struct.pack("<I", 100) + raw[44:]
+    np.testing.assert_array_equal(decode_wav(raw).samples, [7, -8])
+
+
 def test_not_riff_rejected():
     with pytest.raises(NotRiff):
         decode_wav(b"OggS" + b"\x00" * 40)
