@@ -90,8 +90,16 @@ def _pick_as(convert, flag_value, config, key, default):
         raise UsageError(f"config key {key}: expected {convert.__name__}, got {value!r}")
 
 
+def _pick_path(flag_value, config, key, default):
+    """`_pick` for a path; a config value that is not a string is a usage error."""
+    value = _pick(flag_value, config, key, default)
+    if value is not None and not isinstance(value, str):
+        raise UsageError(f"config key {key}: expected a path string, got {value!r}")
+    return value
+
+
 def _resolve_data_dir(flag_value, config):
-    value = _pick(flag_value, config, "data-dir", os.environ.get(DATA_DIR_ENV))
+    value = _pick_path(flag_value, config, "data-dir", os.environ.get(DATA_DIR_ENV))
     if value is None:
         raise UsageError(f"no data directory: pass --data-dir or set {DATA_DIR_ENV}")
     return Path(value)
@@ -125,17 +133,21 @@ def _load_table(path):
 def cmd_train(args) -> int:
     config_file = _load_config(args.config)
     data_dir = _resolve_data_dir(args.data_dir, config_file)
-    out_dir = _pick(args.out, config_file, "out", None)
+    out_dir = _pick_path(args.out, config_file, "out", None)
     if out_dir is None:
         raise UsageError("train needs --out")
     seed = _pick_as(int, args.seed, config_file, "seed", 17)
-    config = TrainConfig(
-        epochs=_pick_as(int, args.epochs, config_file, "epochs", TrainConfig.epochs),
-        batch_size=_pick_as(int, args.batch_size, config_file, "batch-size", TrainConfig.batch_size),
-        learning_rate=_pick_as(float, args.lr, config_file, "lr", TrainConfig.learning_rate),
-        seed=seed,
-        augment=not bool(_pick(args.no_augment, config_file, "no-augment", False)),
-    )
+    try:
+        config = TrainConfig(
+            epochs=_pick_as(int, args.epochs, config_file, "epochs", TrainConfig.epochs),
+            batch_size=_pick_as(int, args.batch_size, config_file, "batch-size",
+                                TrainConfig.batch_size),
+            learning_rate=_pick_as(float, args.lr, config_file, "lr", TrainConfig.learning_rate),
+            seed=seed,
+            augment=not bool(_pick(args.no_augment, config_file, "no-augment", False)),
+        )
+    except ValueError as e:
+        raise UsageError(f"train: {e}")
     index = subsample_unknown(index_dataset(data_dir), seed)
     network = build_network(seed=seed)
     reports = fit(network, index, config, out_dir)

@@ -5,7 +5,11 @@ channels) for the 2D stages, (batch, features) after flattening. Every
 layer is called as forward(x, mode="infer", rng=None), where mode is
 "train" or "infer" and rng drives dropout, and returns (output, cache);
 backward takes the upstream gradient plus that cache and returns (input
-gradient, parameter grads).
+gradient, parameter grads). The two parameter layers, Conv2D and Dense,
+also take backward(..., input_grad=True): with input_grad=False they
+return (None, parameter grads) and skip the input gradient's work, for
+the first layer of a network, whose input is data and has no gradient
+to pass on. The parameter grads are the same bits either way.
 Parameter dtype is float32 in production and float64 in verification
 builds; a layer never changes the dtype it was built with.
 """
@@ -28,7 +32,9 @@ class Conv2D:
     Weights are (filter_h, filter_w, in_channels, out_channels). The
     forward pass lowers input patches to a matrix so the contraction runs
     as one matmul; the patch matrix is kept in the cache for the weight
-    gradient.
+    gradient. As a network's first layer it runs backward with
+    input_grad=False, which skips col2im: the patch-gradient matmul and
+    the scatter loop that sums it back into an input-shaped gradient.
     """
 
     activation = "relu"
@@ -54,7 +60,7 @@ class Conv2D:
         z = z.reshape(n, oh, ow, cout)
         return np.maximum(z, 0.0), (cols, x.shape, z > 0.0)
 
-    def backward(self, d_out, cache):
+    def backward(self, d_out, cache, input_grad=True):
         cols, x_shape, active = cache
         fh, fw, cin, cout = self.weights.shape
         n, h, w, _ = x_shape
@@ -62,12 +68,15 @@ class Conv2D:
         dz = np.where(active, d_out, 0.0).reshape(n, oh * ow, cout)
         d_w = np.tensordot(cols, dz, axes=([0, 1], [0, 1])).reshape(self.weights.shape)
         d_b = dz.sum(axis=(0, 1))
+        grads = {f"{self.name}.weights": d_w, f"{self.name}.biases": d_b}
+        if not input_grad:
+            return None, grads
         d_cols = (dz @ self.weights.reshape(-1, cout).T).reshape(n, oh, ow, fh, fw, cin)
         d_x = np.zeros(x_shape, dtype=d_out.dtype)
         for a in range(fh):
             for b in range(fw):
                 d_x[:, a : a + oh, b : b + ow, :] += d_cols[:, :, :, a, b, :]
-        return d_x, {f"{self.name}.weights": d_w, f"{self.name}.biases": d_b}
+        return d_x, grads
 
     def trainable(self):
         return [(f"{self.name}.weights", self.weights), (f"{self.name}.biases", self.biases)]
@@ -227,7 +236,7 @@ class Dense:
             return softmax(z), (x, None)
         return z, (x, None)
 
-    def backward(self, d_out, cache, at_logits=False):
+    def backward(self, d_out, cache, at_logits=False, input_grad=True):
         x, active = cache
         if self.activation == "relu" and not at_logits:
             dz = np.where(active, d_out, 0.0)
@@ -237,8 +246,10 @@ class Dense:
             dz = d_out
         d_w = x.T @ dz
         d_b = dz.sum(axis=0)
-        d_x = dz @ self.weights.T
-        return d_x, {f"{self.name}.weights": d_w, f"{self.name}.biases": d_b}
+        grads = {f"{self.name}.weights": d_w, f"{self.name}.biases": d_b}
+        if not input_grad:
+            return None, grads
+        return dz @ self.weights.T, grads
 
     def trainable(self):
         return [(f"{self.name}.weights", self.weights), (f"{self.name}.biases", self.biases)]

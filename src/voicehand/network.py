@@ -90,18 +90,22 @@ class Network:
     def backward(self, trace: ForwardTrace, targets: np.ndarray) -> dict:
         """Gradients of the mean cross-entropy loss for every trainable
         parameter. The softmax and the loss are differentiated together:
-        the seed gradient at the final logits is (p - onehot) / batch."""
+        the seed gradient at the final logits is (p - onehot) / batch.
+        The first layer, a Conv2D or Dense, runs with input_grad=False:
+        the network input is data, so its gradient would go unread."""
         if trace.version != self.version:
             raise StaleTrace("network parameters changed since this trace was recorded")
         targets = np.asarray(targets, dtype=self.dtype)
         if targets.shape != trace.probs.shape:
             raise ShapeMismatch(f"targets {targets.shape} vs probs {trace.probs.shape}")
         d = (trace.probs - targets) / trace.probs.shape[0]
-        *body, last = self.layers
-        d, grads = last.backward(d, trace.caches[-1], at_logits=True)
-        for layer, cache in zip(reversed(body), reversed(trace.caches[:-1])):
-            d, layer_grads = layer.backward(d, cache)
+        layers, caches = self.layers, trace.caches
+        d, grads = layers[-1].backward(d, caches[-1], at_logits=True, input_grad=len(layers) > 1)
+        for i in range(len(layers) - 2, 0, -1):
+            d, layer_grads = layers[i].backward(d, caches[i])
             grads.update(layer_grads)
+        if len(layers) > 1:
+            grads.update(layers[0].backward(d, caches[0], input_grad=False)[1])
         return grads
 
     def parameters(self) -> dict:

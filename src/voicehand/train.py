@@ -40,6 +40,12 @@ class TrainConfig:
     noise_prob: float = 0.8
     noise_gain_max: float = 0.1
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+
 
 @dataclass(frozen=True)
 class EpochReport:
@@ -115,6 +121,7 @@ def train_epoch(network: Network, entries, store: ClipStore, pool, optimizer: Ad
         dropout_rng = substream(config.seed, "dropout", epoch, start)
         probs, trace = network.forward(batch, mode="train", dropout_rng=dropout_rng)
         grads = network.backward(trace, one_hot(labels, dtype=network.dtype))
+        del trace  # its caches (conv1's patch matrix) must not outlive the step
         optimizer.step(network.parameters(), grads)
         network.mark_mutated()
         total_loss += cross_entropy(probs, labels) * len(chosen)
@@ -196,7 +203,7 @@ def fit(network: Network, index: DatasetIndex, config: TrainConfig, out_dir,
             if log is not None:
                 log(f"epoch {epoch}: loss {train_loss:.4f} acc {train_acc:.4f} "
                     f"val {val_acc:.4f} ({seconds:.1f}s)")
-    final_meta = {"epoch": config.epochs - 1, "val_acc": reports[-1].val_acc if reports else None}
+    final_meta = {"epoch": config.epochs - 1, "val_acc": reports[-1].val_acc}
     save_checkpoint(out_dir / "final.ckpt", network, metadata=final_meta)
     if not np.isfinite(best_acc):
         save_checkpoint(out_dir / "best.ckpt", network, metadata=final_meta)

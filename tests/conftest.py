@@ -181,3 +181,11 @@ GRADCHECK_THRESHOLDS = {
 def read_csv_rows(path):
     lines = Path(path).read_text().strip().splitlines()
     return [line.split(",") for line in lines]
+
+
+def assert_same_grad_bits(got, want):
+    """Two gradient dicts hold the same names, in order, and the same bits."""
+    assert list(got) == list(want)
+    for name, g in want.items():
+        assert got[name].dtype == g.dtype, name
+        assert got[name].tobytes() == g.tobytes(), name

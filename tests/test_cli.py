@@ -389,3 +389,27 @@ def test_console_entry_point_runs():
                           capture_output=True, timeout=120)
     assert proc.returncode == 0
     assert b"trainable: 22577" in proc.stdout
+
+
+@pytest.mark.parametrize("flags, config, named", [
+    (["--batch-size", "0"], {}, "batch_size"),
+    (["--batch-size", "-4"], {}, "batch_size"),
+    (["--epochs", "0"], {}, "epochs"),
+    (["--epochs", "-1"], {}, "epochs"),
+    ([], {"batch-size": 0}, "batch_size"),
+    ([], {"batch-size": -4}, "batch_size"),
+    ([], {"epochs": 0}, "epochs"),
+    ([], {"epochs": -1}, "epochs"),
+    ([], {"data-dir": 5}, "data-dir"),
+    ([], {"out": 5}, "out"),
+])
+def test_train_bad_size_or_path_is_usage_error(tmp_path, capsys, flags, config, named):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"data-dir": str(tmp_path / "data"),
+                                "out": str(tmp_path / "run"), **config}))
+    code, out, err = run_cli(capsys, "train", "--config", str(conf), *flags)
+    assert code == 1
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert named in err
+    assert out == ""
+    assert not (tmp_path / "run").exists()

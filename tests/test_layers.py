@@ -7,6 +7,8 @@ import pytest
 from voicehand.errors import EmptyBatch, ShapeMismatch
 from voicehand.layers import BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool2D, softmax
 
+from conftest import assert_same_grad_bits
+
 
 def conv_relu_oracle(x, w, b):
     """Valid cross-correlation + bias + ReLU, written as bare loops."""
@@ -396,3 +398,37 @@ def test_dropout_backward_applies_same_mask():
     d_x, _ = layer.backward(np.ones_like(y), cache)
     np.testing.assert_array_equal((d_x != 0), (y != 0))
     np.testing.assert_allclose(d_x[d_x != 0], 2.0)
+
+
+# ---------------------------------------------------------------- input_grad=False
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_backward_without_input_grad_keeps_parameter_grad_bits(dtype):
+    rng = np.random.default_rng(30)
+    layer = Conv2D("c", rng.normal(size=(3, 2, 2, 4)).astype(dtype),
+                   rng.normal(size=4).astype(dtype))
+    y, cache = layer.forward(rng.normal(size=(3, 7, 6, 2)).astype(dtype), "train")
+    d_out = rng.normal(size=y.shape).astype(dtype)
+    d_x, full = layer.backward(d_out, cache)
+    assert d_x.shape == (3, 7, 6, 2)
+    skipped, grads = layer.backward(d_out, cache, input_grad=False)
+    assert skipped is None
+    assert_same_grad_bits(grads, full)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("activation, at_logits", [("relu", False), (None, False),
+                                                   ("softmax", True)])
+def test_dense_backward_without_input_grad_keeps_parameter_grad_bits(dtype, activation,
+                                                                     at_logits):
+    rng = np.random.default_rng(31)
+    layer = Dense("d", rng.normal(size=(6, 5)).astype(dtype), rng.normal(size=5).astype(dtype),
+                  activation=activation)
+    y, cache = layer.forward(rng.normal(size=(4, 6)).astype(dtype), "train")
+    d_out = rng.normal(size=y.shape).astype(dtype)
+    d_x, full = layer.backward(d_out, cache, at_logits=at_logits)
+    assert d_x.shape == (4, 6)
+    skipped, grads = layer.backward(d_out, cache, at_logits=at_logits, input_grad=False)
+    assert skipped is None
+    assert_same_grad_bits(grads, full)

@@ -24,6 +24,8 @@ from voicehand.network import (
 from voicehand.rng import substream
 from voicehand.train import one_hot
 
+from conftest import assert_same_grad_bits
+
 
 def test_declared_shape_progression():
     shapes = output_shapes()
@@ -214,3 +216,46 @@ def test_custom_network_composes():
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
     grads = net.backward(trace, one_hot([0, 1, 2, 0], n_classes=3))
     assert set(grads) == {"d1.weights", "d1.biases", "d2.weights", "d2.biases"}
+
+
+def _full_backward_reference(net, trace, targets):
+    """Every layer's full backward, the first layer's input gradient
+    included, with no version or shape checks."""
+    d = (trace.probs - np.asarray(targets, dtype=net.dtype)) / trace.probs.shape[0]
+    d, grads = net.layers[-1].backward(d, trace.caches[-1], at_logits=True)
+    for layer, cache in zip(net.layers[-2::-1], trace.caches[-2::-1]):
+        d, layer_grads = layer.backward(d, cache)
+        grads.update(layer_grads)
+    return d, grads
+
+
+def _assert_backward_matches_reference(net, x, labels):
+    probs, trace = net.forward(x, mode="train", dropout_rng=substream(4, "dropout", 0, 0))
+    targets = one_hot(labels, n_classes=probs.shape[1], dtype=net.dtype)
+    grads = net.backward(trace, targets)
+    d_x, want = _full_backward_reference(net, trace, targets)
+    assert d_x.shape == x.shape  # the input gradient Network.backward skips
+    assert_same_grad_bits(grads, want)
+    assert all(g.dtype == net.dtype for g in grads.values())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_skipping_input_grad_keeps_every_gradient_bit(dtype):
+    net = build_network(seed=4, dtype=dtype)
+    x = np.random.default_rng(4).normal(size=(3,) + INPUT_SHAPE)
+    _assert_backward_matches_reference(net, x, [0, 4, 8])
+
+
+def test_dense_only_backward_skipping_input_grad_keeps_every_gradient_bit():
+    from voicehand.layers import Dense
+
+    rng = np.random.default_rng(5)
+    net = Network(
+        [
+            Dense("d1", rng.normal(size=(6, 5)), rng.normal(size=5), activation="relu"),
+            Dense("d2", rng.normal(size=(5, 3)), np.zeros(3), activation="softmax"),
+        ],
+        dtype=np.float64,
+        class_names=("a", "b", "c"),
+    )
+    _assert_backward_matches_reference(net, rng.normal(size=(4, 6)), [0, 1, 2, 0])

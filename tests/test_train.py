@@ -1,12 +1,19 @@
 """Loss plumbing, the epoch loop, evaluation, and full-run artifacts."""
 
+import os
+import subprocess
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
+from voicehand.adam import Adam
 from voicehand.dataset import index_dataset
 from voicehand.errors import EmptyNoisePool, EmptySplit, EmptyTrainingSplit
 from voicehand.gestures import GestureClass
 from voicehand.network import build_network
+from voicehand.synth import write_tone_dataset
 from voicehand.train import (
     LOG_COLUMNS,
     ClipStore,
@@ -15,6 +22,7 @@ from voicehand.train import (
     evaluate,
     fit,
     one_hot,
+    train_epoch,
 )
 
 from conftest import read_csv_rows, write_word_tree
@@ -159,3 +167,66 @@ def test_training_reduces_loss_on_tiny_problem(tmp_path, tiny_tree):
                   TrainConfig(epochs=8, batch_size=4, seed=7, augment=False),
                   tmp_path / "run", log=None)
     assert reports[-1].train_loss < reports[0].train_loss
+
+
+def test_train_epoch_frees_each_step_trace_before_the_next_forward(tiny_tree):
+    # a live trace holds conv1's patch matrix, 140 MB at batch 64
+    index = index_dataset(tiny_tree)
+    entries = index.split_entries("train")
+    config = TrainConfig(batch_size=3, seed=7, augment=False)
+    assert len(entries) > 2 * config.batch_size  # three steps
+    net = _small_net()
+    forward = net.forward
+    traces = []
+
+    def forward_checking_previous_traces(*args, **kwargs):
+        assert all(ref() is None for ref in traces), f"trace alive at forward {len(traces)}"
+        probs, trace = forward(*args, **kwargs)
+        traces.append(weakref.ref(trace))
+        return probs, trace
+
+    net.forward = forward_checking_previous_traces
+    train_epoch(net, entries, ClipStore(), None, Adam(), config, 0)
+    assert len(traces) == 3
+    assert traces[-1]() is None
+
+
+# Two epochs on a small tone set, with augmentation and a partial last
+# batch. The digest was recorded before the first layer stopped computing
+# its input gradient, so it pins forward, backward and Adam to the bit.
+# The summation order of OpenBLAS's float32 matmuls depends on its thread
+# count (1 and 2 threads give different digests), so the run gets its
+# own process with one BLAS thread.
+TWO_EPOCH_DIGEST = "e08e4bbeed4cc82fd594b95e7f40411a6a15f0841bfb4ca40a8c7a27c1099b73"
+
+TWO_EPOCH_SCRIPT = """
+import hashlib, sys
+from voicehand.adam import Adam
+from voicehand.audio import NoisePool
+from voicehand.dataset import index_dataset
+from voicehand.network import build_network
+from voicehand.train import ClipStore, TrainConfig, train_epoch
+
+index = index_dataset(sys.argv[1])
+net = build_network(seed=23)
+config = TrainConfig(batch_size=5, seed=23)
+optimizer = Adam(learning_rate=config.learning_rate)
+store = ClipStore()
+pool = NoisePool.from_files(index.noise_files)
+for epoch in range(2):
+    train_epoch(net, index.split_entries("train"), store, pool, optimizer, config, epoch)
+digest = hashlib.sha256()
+for name, tensor in net.state_tensors():
+    digest.update(name.encode())
+    digest.update(tensor.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_two_epochs_are_bit_identical_to_pinned_digest(tmp_path):
+    root = write_tone_dataset(tmp_path / "tones", clips_per_class=6, seed=23)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", TWO_EPOCH_SCRIPT, str(root)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == TWO_EPOCH_DIGEST
