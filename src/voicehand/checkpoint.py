@@ -6,7 +6,8 @@ Layout, all integers little-endian:
     bytes 4..7   format version (u32) = 1
     bytes 8..11  header length in bytes (u32)
     header       UTF-8 JSON: architecture, input shape, class names,
-                 tensor names + shapes in payload order, free-form metadata
+                 tensor names + shapes in payload order, free-form metadata;
+                 strict JSON, so metadata holds no NaN or infinity
     payload      float32 values for every tensor, canonical layer order
 
 The header is validated against the expected architecture before any
@@ -14,7 +15,9 @@ payload byte is interpreted, so a mismatched file fails loudly instead
 of loading plausible garbage.
 """
 
+import contextlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -42,15 +45,28 @@ def _header(network: Network, metadata) -> dict:
 
 
 def save_checkpoint(path, network: Network, metadata=None) -> None:
-    header = json.dumps(_header(network, metadata), sort_keys=True).encode("utf-8")
+    """Write atomically: the bytes go to a temporary file next to `path`,
+    which then replaces it, so a write that fails part-way leaves an
+    earlier file at `path` as it was. Metadata must be strict JSON."""
+    header = json.dumps(_header(network, metadata), sort_keys=True,
+                        allow_nan=False).encode("utf-8")
     payload = b"".join(
         np.ascontiguousarray(a, dtype="<f4").tobytes() for _, a in network.state_tensors()
     )
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", FORMAT_VERSION, len(header)))
-        f.write(header)
-        f.write(payload)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", FORMAT_VERSION, len(header)))
+            f.write(header)
+            f.write(payload)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def read_header(path) -> dict:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .audio import WINDOW_SAMPLES, to_window, to_window_values
 from .errors import ChannelOutOfRange, CodeOutOfRange, DuplicateChannel
-from .features import log_compress, stft_power
+from .features import DEFAULT_STFT, FEATURE_SHAPE, log_compress, stft_power
 from .gestures import FINGERS, FingerTrajectory, GestureClass, GestureTable, lookup_trajectory
 from .wav import SAMPLE_RATE, AudioClip
 
@@ -158,6 +158,55 @@ def window_offsets(total_samples: int, config: StreamConfig = StreamConfig()):
     return range(0, total_samples - WINDOW_SAMPLES + 1, config.hop_samples)
 
 
+def _run(layers, h):
+    for layer in layers:
+        h, _ = layer.forward(h)
+    return h
+
+
+def window_probs(network, samples: np.ndarray, config: StreamConfig = StreamConfig()):
+    """(offset, class probabilities) for every window `stream_decode`
+    evaluates.
+
+    A hop of k whole pool1 columns, k below a window's 13, is aligned:
+    a pool1 column is STFT hop x pool1 width x conv1 stride (1) samples,
+    1120 or 70 ms. There each window after the first computes only its
+    5k new STFT frames and runs conv1, pool1 and bn1 over the frames its
+    k new pool1 columns read; the rest of its bn1 output is the previous
+    window's, shifted by k columns. The frames are the same bits as a
+    full window's, but conv1's matmul over fewer rows can round
+    differently, so the probabilities agree with `classify_window` within
+    1e-5 rather than bit for bit. Any other hop runs `classify_window` on
+    each window.
+    """
+    offsets = window_offsets(len(samples), config)
+    prefix, suffix = network.layers[:3], network.layers[3:]
+    fw, pw = prefix[0].weights.shape[1], prefix[1].pool_w
+    n_frames = FEATURE_SHAPE[1]
+    window_columns = (n_frames - fw + 1) // pw
+    k, unaligned = divmod(config.hop_samples, DEFAULT_STFT.hop * pw)
+    if unaligned or k >= window_columns:
+        for offset in offsets:
+            window = to_window_values(samples[offset : offset + WINDOW_SAMPLES], pad=False)
+            yield offset, classify_window(network, window)
+        return
+    new_frames = pw * k
+    reads = slice(pw * (window_columns - k), pw * window_columns + fw - 1)
+    start = (n_frames - new_frames) * DEFAULT_STFT.hop  # first sample of the new frames
+    frames = columns = None
+    for offset in offsets:
+        first = offset if frames is None else offset + start
+        values = to_window_values(samples[first : offset + WINDOW_SAMPLES], pad=False)
+        fresh = log_compress(stft_power(values)).astype(network.dtype)[None, :, :, None]
+        if frames is None:
+            frames, columns = fresh, _run(prefix, fresh)
+        else:
+            frames = np.concatenate([frames[:, :, new_frames:], fresh], axis=2)
+            columns = np.concatenate([columns[:, :, k:], _run(prefix, frames[:, :, reads])],
+                                     axis=2)
+        yield offset, _run(suffix, columns)[0]
+
+
 def stream_decode(network, samples: np.ndarray, table: GestureTable = None,
                   config: StreamConfig = StreamConfig()):
     """Decode a long 16 kHz PCM recording into command decisions.
@@ -166,12 +215,14 @@ def stream_decode(network, samples: np.ndarray, table: GestureTable = None,
     the window `accepts` at the decision threshold and at least
     refractory_ms passed since the last emission. t_ms is
     the end of the emitting window.
+
+    A hop that is a multiple of 70 ms, up to 840 ms, reuses work between
+    windows (see `window_probs`), with the same decisions as classifying
+    every window in full.
     """
     table = table or GestureTable.default()
     last_emit_ms = None
-    for offset in window_offsets(len(samples), config):
-        window = to_window_values(samples[offset : offset + WINDOW_SAMPLES], pad=False)
-        probs = classify_window(network, window)
+    for offset, probs in window_probs(network, samples, config):
         idx = int(np.argmax(probs))
         if not accepts(float(probs[idx]), GestureClass(idx), config.decision_threshold):
             continue

@@ -48,11 +48,15 @@ FEATURE_SHAPE = (DEFAULT_STFT.fft_bins, DEFAULT_STFT.frame_count(WINDOW_SAMPLES)
 def stft_power(window: np.ndarray, spec: StftSpec = DEFAULT_STFT) -> np.ndarray:
     """Squared-magnitude one-sided DFT per frame; shape (bins, frames).
 
-    Frame t covers samples [t*hop, t*hop + segment_length).
+    Frame t covers samples [t*hop, t*hop + segment_length). A one-second
+    window gives the network's 71 frames; any 1-D signal holding at least
+    one segment gives `spec.frame_count(len(window))`, each frame the same
+    bits as in a longer signal holding the same samples.
     """
     window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 1 or len(window) != WINDOW_SAMPLES:
-        raise BadWindowLength(f"expected {WINDOW_SAMPLES} samples, got shape {window.shape}")
+    if window.ndim != 1 or len(window) < spec.segment_length:
+        raise BadWindowLength(f"expected at least {spec.segment_length} samples in one "
+                              f"dimension, got shape {window.shape}")
     frames = np.lib.stride_tricks.sliding_window_view(window, spec.segment_length)[:: spec.hop]
     coeffs = np.fft.rfft(frames * spec.window, axis=1)
     return (coeffs.real**2 + coeffs.imag**2).T

@@ -45,6 +45,9 @@ class TrainConfig:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and above 0, "
+                             f"got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,8 @@ def fit(network: Network, index: DatasetIndex, config: TrainConfig, out_dir,
     Writes out_dir/training_log.csv (one row per epoch), best.ckpt (highest
     validation accuracy, earliest epoch on ties) and final.ckpt. Returns the
     per-epoch reports. Validation accuracy is NaN when the val split is
-    empty, in which case best.ckpt duplicates final.ckpt.
+    empty, in which case best.ckpt duplicates final.ckpt and its metadata
+    stores val_acc as null.
     """
     train_entries = index.split_entries("train")
     if not train_entries:
@@ -203,7 +207,9 @@ def fit(network: Network, index: DatasetIndex, config: TrainConfig, out_dir,
             if log is not None:
                 log(f"epoch {epoch}: loss {train_loss:.4f} acc {train_acc:.4f} "
                     f"val {val_acc:.4f} ({seconds:.1f}s)")
-    final_meta = {"epoch": config.epochs - 1, "val_acc": reports[-1].val_acc}
+    final_acc = reports[-1].val_acc
+    final_meta = {"epoch": config.epochs - 1,
+                  "val_acc": None if np.isnan(final_acc) else final_acc}
     save_checkpoint(out_dir / "final.ckpt", network, metadata=final_meta)
     if not np.isfinite(best_acc):
         save_checkpoint(out_dir / "best.ckpt", network, metadata=final_meta)

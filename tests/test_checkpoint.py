@@ -1,12 +1,14 @@
 """Checkpoint container: canonical layout, bitwise stability, and
 header-before-payload validation."""
 
+import errno
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from voicehand import checkpoint
 from voicehand.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -196,3 +198,43 @@ def test_load_into_float64_network_casts(tmp_path):
     load_checkpoint(path, wide)
     assert wide["conv1"].weights.dtype == np.float64
     np.testing.assert_allclose(wide["conv1"].weights, source["conv1"].weights.astype(np.float64))
+
+
+class _HalfWriter:
+    """A file whose first large write stops half-way with a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        if len(data) > 100:
+            self.f.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.f.write(data)
+
+
+def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(path, build_network(seed=17), metadata={"epoch": 0})
+    before = path.read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
+    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: _HalfWriter(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, _scrambled_net(), metadata={"epoch": 1})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
+
+def test_metadata_must_be_strict_json(tmp_path):
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError):
+        save_checkpoint(path, build_network(seed=17), metadata={"val_acc": float("nan")})
+    assert list(tmp_path.iterdir()) == []

@@ -413,3 +413,20 @@ def test_train_bad_size_or_path_is_usage_error(tmp_path, capsys, flags, config, 
     assert named in err
     assert out == ""
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_train_learning_rate_not_finite_and_positive_is_usage_error(tmp_path, capsys,
+                                                                   value, via):
+    conf = tmp_path / "conf.json"
+    settings = {"data-dir": str(tmp_path / "data"), "out": str(tmp_path / "run")}
+    flags = [f"--lr={value}"] if via == "flag" else []
+    if via == "config":
+        settings["lr"] = value
+    conf.write_text(json.dumps(settings))
+    code, out, err = run_cli(capsys, "train", "--config", str(conf), *flags)
+    assert code == 1
+    assert err.startswith("usage error:") and "learning_rate" in err
+    assert out == ""
+    assert not (tmp_path / "run").exists()

@@ -115,6 +115,21 @@ def test_bad_window_length_rejected():
         stft_power(np.zeros(100))
 
 
+@pytest.mark.parametrize("shape", [(255,), (0,), (2, 16000), ()])
+def test_input_without_one_segment_in_one_dimension_rejected(shape):
+    with pytest.raises(BadWindowLength):
+        stft_power(np.zeros(shape))
+
+
+def test_short_signal_frames_are_bitwise_those_of_a_full_window():
+    # the stream cache computes a 70 ms hop's 5 new frames from 1152 samples
+    window = np.random.default_rng(4).uniform(-1, 1, 16000)
+    first = 66 * DEFAULT_STFT.hop
+    part = stft_power(window[first : first + 1152])
+    assert part.shape == (129, 5)
+    assert part.tobytes() == stft_power(window)[:, 66:].tobytes()
+
+
 def test_custom_spec_geometry():
     spec = StftSpec(segment_length=512, hop=256)
     assert spec.fft_bins == 257

@@ -1,6 +1,8 @@
 """Loss plumbing, the epoch loop, evaluation, and full-run artifacts."""
 
+import json
 import os
+import struct
 import subprocess
 import sys
 import weakref
@@ -121,6 +123,33 @@ def test_fit_differs_across_seeds(tmp_path, tiny_tree):
             tmp_path / run, log=None)
         rows.append(read_csv_rows(tmp_path / run / "training_log.csv")[1])
     assert rows[0][1:4] != rows[1][1:4]
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+def test_config_rejects_learning_rate_not_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(learning_rate=lr)
+
+
+def test_fit_without_val_split_writes_strict_json_headers(tmp_path, tiny_tree):
+    index = index_dataset(tiny_tree)
+    no_val = type(index)(
+        entries=tuple(e for e in index.entries if e.split != "val"),
+        noise_files=index.noise_files,
+    )
+    out = tmp_path / "run"
+    reports = fit(_small_net(), no_val, TrainConfig(epochs=1, batch_size=4, seed=7), out,
+                  log=None)
+    assert np.isnan(reports[-1].val_acc)
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    for name in ("best.ckpt", "final.ckpt"):
+        data = (out / name).read_bytes()
+        (header_len,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12 : 12 + header_len], parse_constant=refuse)
+        assert header["metadata"] == {"epoch": 0, "val_acc": None}
 
 
 def test_fit_empty_training_split_raises(tmp_path, tiny_tree):
