@@ -22,7 +22,13 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagic, SpecMismatch, TruncatedPayload, UnsupportedVersion
+from .errors import (
+    BadMagic,
+    NonFinitePayload,
+    SpecMismatch,
+    TruncatedPayload,
+    UnsupportedVersion,
+)
 from .network import ARCH, INPUT_SHAPE, Network
 
 MAGIC = b"KWS1"
@@ -82,16 +88,20 @@ def read_header(path) -> dict:
     if len(raw) < header_len:
         raise TruncatedPayload(f"{path}: header cut short")
     try:
-        return json.loads(raw.decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise SpecMismatch(f"{path}: unreadable header: {e}") from e
+    if not isinstance(header, dict):
+        raise SpecMismatch(f"{path}: header is not a JSON object")
+    return header
 
 
 def load_checkpoint(path, network: Network) -> dict:
     """Load weights into `network` in place; returns header metadata.
 
     The file's architecture descriptor, class names, and tensor list must
-    match the network exactly.
+    match the network exactly, and every payload value must be finite;
+    on any failure the network is left as it was.
     """
     header = read_header(path)
     if header.get("arch") != _arch_json():
@@ -113,6 +123,8 @@ def load_checkpoint(path, network: Network) -> dict:
     if len(payload) != 4 * count:
         raise TruncatedPayload(f"{path}: payload holds {len(payload) // 4} floats, expected {count}")
     values = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise NonFinitePayload(f"{path}: payload holds a NaN or infinite value")
     offset = 0
     for _, a in tensors:
         chunk = values[offset : offset + a.size].reshape(a.shape)

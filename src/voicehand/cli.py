@@ -19,6 +19,7 @@ from .commands import StreamConfig, accepts, recognize_clip, stream_decode
 from .dataset import index_dataset, subsample_unknown
 from .errors import (
     BadMagic,
+    NonFinitePayload,
     SpecMismatch,
     TruncatedPayload,
     UnsupportedVersion,
@@ -39,7 +40,8 @@ from .wav import read_wav
 
 DATA_DIR_ENV = "VOICEHAND_DATA_DIR"
 
-CHECKPOINT_ERRORS = (BadMagic, UnsupportedVersion, SpecMismatch, TruncatedPayload)
+CHECKPOINT_ERRORS = (BadMagic, UnsupportedVersion, SpecMismatch, TruncatedPayload,
+                     NonFinitePayload)
 
 
 class UsageError(Exception):
@@ -187,6 +189,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_recognize(args) -> int:
+    if not 0.0 <= args.threshold <= 1.0:
+        raise UsageError(f"recognize: threshold must be in [0, 1], got {args.threshold}")
     network, _ = _network_from_checkpoint(args.checkpoint)
     clip = _read_clip(args.wav)
     table = _load_table(args.gesture_table)
@@ -284,7 +288,7 @@ def build_parser() -> Parser:
     p.add_argument("--wav", required=True)
     p.add_argument("--gesture-table", help="JSON gesture table (default built in)")
     p.add_argument("--threshold", type=float, default=0.0,
-                   help="minimum probability to accept the decision")
+                   help="minimum probability to accept the decision, in [0, 1]")
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("stream", help="decode a long recording into command JSON lines")

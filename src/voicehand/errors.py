@@ -95,3 +95,7 @@ class SpecMismatch(VoicehandError):
 
 class TruncatedPayload(VoicehandError):
     """Checkpoint parameter payload is shorter than the header promises."""
+
+
+class NonFinitePayload(VoicehandError):
+    """Checkpoint parameter payload holds a NaN or infinite value."""

@@ -12,6 +12,12 @@ the first layer of a network, whose input is data and has no gradient
 to pass on. The parameter grads are the same bits either way.
 Parameter dtype is float32 in production and float64 in verification
 builds; a layer never changes the dtype it was built with.
+
+Only train mode builds what backward reads. In infer mode Conv2D,
+MaxPool2D and BatchNorm return None as their cache: Conv2D lowers one
+clip's patches at a time and keeps none of them, MaxPool2D takes a plain
+max without recording where it was, and BatchNorm uses its moving
+statistics. Backward needs a train-mode cache.
 """
 
 import numpy as np
@@ -31,10 +37,14 @@ class Conv2D:
 
     Weights are (filter_h, filter_w, in_channels, out_channels). The
     forward pass lowers input patches to a matrix so the contraction runs
-    as one matmul; the patch matrix is kept in the cache for the weight
-    gradient. As a network's first layer it runs backward with
-    input_grad=False, which skips col2im: the patch-gradient matmul and
-    the scatter loop that sums it back into an input-shaped gradient.
+    as one matmul per clip. Train mode lowers the whole batch and keeps
+    the patch matrix in the cache for the weight gradient. Infer mode
+    lowers one clip at a time into a single reused one-clip buffer and
+    caches nothing (None); each clip's matmul is the same gemm call the
+    batched matmul makes, so both modes give the same bits. As a
+    network's first layer it runs backward with input_grad=False, which
+    skips col2im: the patch-gradient matmul and the scatter loop that
+    sums it back into an input-shaped gradient.
     """
 
     activation = "relu"
@@ -54,7 +64,18 @@ class Conv2D:
         oh, ow = h - fh + 1, w - fw + 1
         patches = np.lib.stride_tricks.sliding_window_view(x, (fh, fw), axis=(1, 2))
         # (n, oh, ow, cin, fh, fw) -> rows ordered (fh, fw, cin) to match the weight layout
-        cols = np.ascontiguousarray(patches.transpose(0, 1, 2, 4, 5, 3))
+        patches = patches.transpose(0, 1, 2, 4, 5, 3)
+        if mode != "train":
+            w = self.weights.reshape(-1, cout)
+            z = np.empty((n, oh * ow, cout), dtype=np.result_type(x, self.weights, self.biases))
+            buf = np.empty((oh, ow, fh, fw, cin), dtype=x.dtype)
+            cols = buf.reshape(oh * ow, fh * fw * cin)
+            for i in range(n):
+                buf[...] = patches[i]
+                np.matmul(cols, w, out=z[i])
+                z[i] += self.biases
+            return np.maximum(z, 0.0, out=z).reshape(n, oh, ow, cout), None
+        cols = np.ascontiguousarray(patches)
         cols = cols.reshape(n, oh * ow, fh * fw * cin)
         z = cols @ self.weights.reshape(-1, cout) + self.biases
         z = z.reshape(n, oh, ow, cout)
@@ -87,9 +108,15 @@ class Conv2D:
 
 class MaxPool2D:
     """Non-overlapping max pooling; trailing rows/columns that do not fill
-    a window are dropped. The cache records the winning position per
-    window so backward routes gradient to exactly one input (first max on
-    ties), conserving gradient mass."""
+    a window are dropped. In train mode the cache records the winning
+    position per window so backward routes gradient to exactly one input
+    (first max on ties), conserving gradient mass. Infer mode caches
+    nothing (None): it takes np.maximum over the pool_w column offsets,
+    then over the pool_h row offsets, of strided views of the input,
+    with the running max as the second operand. np.maximum returns its
+    second operand when the two are equal (+0.0 and -0.0 included), so a
+    later value replaces the running max only when it is greater, which
+    is argmax's first-max rule: both modes give the same bits."""
 
     def __init__(self, name, pool_h, pool_w):
         self.name = name
@@ -110,6 +137,16 @@ class MaxPool2D:
             raise ShapeMismatch(f"{self.name}: expected 4D input, got {x.shape}")
         if x.shape[1] < self.pool_h or x.shape[2] < self.pool_w:
             raise ShapeMismatch(f"{self.name}: input {x.shape} smaller than pool window")
+        if mode != "train":
+            ph, pw = self.pool_h, self.pool_w
+            h, w = x.shape[1] // ph * ph, x.shape[2] // pw * pw
+            cols = x[:, :h, 0:w:pw]
+            for j in range(1, pw):
+                cols = np.maximum(x[:, :h, j:w:pw], cols)
+            y = cols[:, 0::ph]
+            for i in range(1, ph):
+                y = np.maximum(cols[:, i::ph], y)
+            return y, None
         tiles = self.tiles(x)
         argmax = tiles.argmax(axis=3)
         y = np.take_along_axis(tiles, argmax[:, :, :, None, :], axis=3)[:, :, :, 0, :]

@@ -16,7 +16,13 @@ from voicehand.checkpoint import (
     read_header,
     save_checkpoint,
 )
-from voicehand.errors import BadMagic, SpecMismatch, TruncatedPayload, UnsupportedVersion
+from voicehand.errors import (
+    BadMagic,
+    NonFinitePayload,
+    SpecMismatch,
+    TruncatedPayload,
+    UnsupportedVersion,
+)
 from voicehand.network import build_network
 
 CANONICAL_TENSORS = [
@@ -160,6 +166,31 @@ def test_header_validated_before_payload_is_read(tmp_path):
     path.write_bytes(raw[:-40])
     with pytest.raises(SpecMismatch):
         load_checkpoint(path, build_network(seed=17))
+
+
+@pytest.mark.parametrize("header", [b"[]", b'"x"', b"17", b"null"])
+def test_header_that_is_not_an_object_rejected(tmp_path, header):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header)
+    with pytest.raises(SpecMismatch, match="not a JSON object"):
+        read_header(path)
+    with pytest.raises(SpecMismatch):
+        load_checkpoint(path, build_network(seed=17))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("tensor", ["conv1.weights", "bn2.moving_var", "dense2.biases"])
+def test_non_finite_payload_rejected_and_network_untouched(tmp_path, bad, tensor):
+    path = tmp_path / "m.ckpt"
+    source = build_network(seed=17)
+    dict(source.state_tensors())[tensor].flat[-1] = bad
+    save_checkpoint(path, source)
+    net = _scrambled_net()
+    before = [a.copy() for _, a in net.state_tensors()]
+    with pytest.raises(NonFinitePayload):
+        load_checkpoint(path, net)
+    for (name, a), b in zip(net.state_tensors(), before):
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def test_load_does_not_touch_network_on_header_error(tmp_path):

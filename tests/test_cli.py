@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, JSON output, config precedence."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -150,6 +151,49 @@ def test_recognize_bad_table_is_data_error(trained, tmp_path, capsys):
     code, _, err = run_cli(capsys, "recognize", "--checkpoint", str(trained.best_ckpt),
                            "--wav", str(wav), "--gesture-table", str(table_path))
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "5", "1.0001"])
+def test_recognize_bad_threshold_is_usage_error(tmp_path, capsys, value):
+    # checked before the checkpoint is read, so a missing one is never reached
+    wav = tone_wav(tmp_path / "one.wav", 2000.0)
+    code, out, err = run_cli(capsys, "recognize", "--checkpoint", str(tmp_path / "absent.ckpt"),
+                             "--wav", str(wav), "--threshold", value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert len(err.splitlines()) == 1
+
+
+def _checkpoint_with_header(path, header):
+    from voicehand.checkpoint import FORMAT_VERSION, MAGIC
+    path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header)
+    return path
+
+
+def _checkpoint_with_weight(path, value):
+    from voicehand.checkpoint import save_checkpoint
+    from voicehand.network import build_network
+    net = build_network()
+    net["dense2"].weights[0, 0] = value
+    save_checkpoint(path, net)
+    return path
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: _checkpoint_with_header(p, b"[]"),
+    lambda p: _checkpoint_with_header(p, b'"x"'),
+    lambda p: _checkpoint_with_weight(p, np.nan),
+    lambda p: _checkpoint_with_weight(p, np.inf),
+], ids=["header-list", "header-string", "nan-weight", "inf-weight"])
+def test_recognize_malformed_checkpoint_is_checkpoint_error(tmp_path, capsys, make):
+    ckpt = make(tmp_path / "bad.ckpt")
+    wav = tone_wav(tmp_path / "one.wav", 2000.0)
+    code, out, err = run_cli(capsys, "recognize", "--checkpoint", str(ckpt), "--wav", str(wav))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("checkpoint error:")
+    assert len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------- stream

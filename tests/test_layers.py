@@ -3,6 +3,9 @@ against central finite differences on a scalar probe loss sum(y * R)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from voicehand.errors import EmptyBatch, ShapeMismatch
 from voicehand.layers import BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool2D, softmax
@@ -93,7 +96,7 @@ def test_conv_forward_matches_loop_oracle():
 def test_conv_backward_matches_finite_differences():
     x, layer = _small_conv()
     rng = np.random.default_rng(9)
-    y, cache = layer.forward(x)
+    y, cache = layer.forward(x, "train")
     probe = rng.normal(size=y.shape)
     d_x, grads = layer.backward(probe, cache)
 
@@ -109,7 +112,7 @@ def test_conv_backward_matches_finite_differences():
 def test_conv_relu_mask_zeroes_inactive_gradient():
     x = np.full((1, 3, 3, 1), -5.0)  # every pre-activation negative
     layer = Conv2D("c", np.ones((2, 2, 1, 1)), np.zeros(1))
-    y, cache = layer.forward(x)
+    y, cache = layer.forward(x, "train")
     assert np.all(y == 0.0)
     d_x, grads = layer.backward(np.ones_like(y), cache)
     assert np.all(d_x == 0.0)
@@ -152,7 +155,7 @@ def test_pool_backward_routes_to_argmax_and_conserves_mass():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(2, 6, 6, 3))
     layer = MaxPool2D("p", 2, 3)
-    y, cache = layer.forward(x)
+    y, cache = layer.forward(x, "train")
     d_out = rng.normal(size=y.shape)
     d_x, grads = layer.backward(d_out, cache)
     assert grads == {}
@@ -173,7 +176,7 @@ def test_pool_tie_goes_to_first_in_row_major_order():
     x[0, 0, 1, 0] = 7.0  # flat position 1 within the tile
     x[0, 1, 0, 0] = 7.0  # flat position 2
     layer = MaxPool2D("p", 2, 2)
-    y, cache = layer.forward(x)
+    y, cache = layer.forward(x, "train")
     assert y[0, 0, 0, 0] == 7.0
     d_x, _ = layer.backward(np.ones_like(y), cache)
     assert d_x[0, 0, 1, 0] == 1.0
@@ -184,7 +187,7 @@ def test_pool_backward_gradient_matches_finite_differences():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(1, 4, 4, 2))
     layer = MaxPool2D("p", 2, 2)
-    y, cache = layer.forward(x)
+    y, cache = layer.forward(x, "train")
     probe = rng.normal(size=y.shape)
     d_x, _ = layer.backward(probe, cache)
 
@@ -432,3 +435,70 @@ def test_dense_backward_without_input_grad_keeps_parameter_grad_bits(dtype, acti
     skipped, grads = layer.backward(d_out, cache, at_logits=at_logits, input_grad=False)
     assert skipped is None
     assert_same_grad_bits(grads, full)
+
+
+# ---------------------------------------------------------------- infer mode
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _with_ties(x, ph, pw):
+    """x with its first tile all zeros and, in the next two tiles along the
+    width, a +0.0/-0.0 tie for the max in both orders; everything else in
+    those tiles is negative."""
+    x = x.copy()
+    x[:, :ph, :pw] = 0.0
+    for j, first in ((1, -0.0), (2, 0.0)):
+        tile = x[:, :ph, j * pw : (j + 1) * pw]
+        tile[...] = -1.0 - np.abs(tile)
+        tile[:, 0, -1] = first
+        tile[:, -1, 0] = -first
+    return x
+
+
+INFER_SHAPES = [((1, 14, 15, 3), 7, 5), ((3, 14, 15, 3), 7, 5), ((3, 11, 13, 2), 5, 3)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, ph, pw", INFER_SHAPES)
+def test_pool_infer_is_train_bit_for_bit(dtype, shape, ph, pw):
+    layer = MaxPool2D("p", ph, pw)
+    x = _with_ties(np.random.default_rng(40).normal(size=shape), ph, pw).astype(dtype)
+    y, cache = layer.forward(x, "infer")
+    assert cache is None
+    assert_same_bits(y, layer.forward(x, "train")[0])
+    # the first max in row-major order wins a tie, sign of zero included
+    assert not np.signbit(y[:, 0, 0]).any()
+    assert np.signbit(y[:, 0, 1]).all()
+    assert not np.signbit(y[:, 0, 2]).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, ph, pw", INFER_SHAPES)
+def test_conv_infer_is_train_bit_for_bit(dtype, shape, ph, pw):
+    rng = np.random.default_rng(41)
+    cin = shape[-1]
+    layer = Conv2D("c", rng.normal(size=(ph, pw, cin, 4)).astype(dtype),
+                   np.array([0.0, -0.0, 0.5, -0.5], dtype=dtype))
+    x = _with_ties(rng.normal(size=shape), ph, pw).astype(dtype)
+    y, cache = layer.forward(x, "infer")
+    assert cache is None
+    assert_same_bits(y, layer.forward(x, "train")[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+       ph=st.integers(1, 4), pw=st.integers(1, 4))
+def test_pool_infer_is_train_bit_for_bit_for_any_shape(data, dtype, ph, pw):
+    shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(ph, 3 * ph + 2)),
+             data.draw(st.integers(pw, 3 * pw + 2)), data.draw(st.integers(1, 3)))
+    # few distinct values, signed zeros among them, so most tiles hold ties
+    x = data.draw(arrays(dtype, shape,
+                         elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])))
+    layer = MaxPool2D("p", ph, pw)
+    y, cache = layer.forward(x, "infer")
+    assert cache is None
+    assert_same_bits(y, layer.forward(x, "train")[0])

@@ -2,6 +2,10 @@
 trace/mutation discipline."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,3 +263,63 @@ def test_dense_only_backward_skipping_input_grad_keeps_every_gradient_bit():
         class_names=("a", "b", "c"),
     )
     _assert_backward_matches_reference(net, rng.normal(size=(4, 6)), [0, 1, 2, 0])
+
+
+# sha256 of infer-mode probabilities at batch 1, 3 and 64, then of every
+# (offset, probabilities) pair `window_probs` yields at the 70 ms (cached)
+# and 500 ms (per-window) hops, for a fresh network with scrambled
+# batch-norm statistics. Recorded while conv and pool still built their
+# training caches in infer mode, so it pins the infer path to the bit.
+# One BLAS thread, in its own process, as for TWO_EPOCH_DIGEST.
+INFER_DIGEST = "6f41bf1398c89a8c63345def26f085c258853316db9dc0c0691abeda81b88fb8"
+
+INFER_SCRIPT = """
+import hashlib
+import numpy as np
+from voicehand.commands import StreamConfig, window_probs
+from voicehand.network import INPUT_SHAPE, build_network
+from voicehand.rng import substream
+from voicehand.synth import tone_samples
+
+net = build_network(seed=29)
+rng = substream(29, "infer-digest")
+for layer in (net["bn1"], net["bn2"]):
+    layer.gamma[...] = rng.uniform(0.5, 1.5, layer.gamma.shape)
+    layer.beta[...] = rng.normal(0.0, 0.2, layer.beta.shape)
+    layer.moving_mean[...] = rng.normal(0.0, 0.5, layer.moving_mean.shape)
+    layer.moving_var[...] = rng.uniform(0.5, 2.0, layer.moving_var.shape)
+digest = hashlib.sha256()
+for n in (1, 3, 64):
+    x = rng.normal(size=(n,) + INPUT_SHAPE)
+    digest.update(net.forward(x, "infer")[0].tobytes())
+noise = rng.normal(0.0, 2000.0, 24000)
+samples = np.concatenate([noise, tone_samples(1500.0, 0.5, 1.0), noise]).astype(np.int16)
+for hop_ms in (70, 500):
+    for offset, probs in window_probs(net, samples, StreamConfig(hop_ms=hop_ms)):
+        digest.update(offset.to_bytes(8, "little"))
+        digest.update(probs.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_infer_probabilities_are_bit_identical_to_pinned_digest():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", INFER_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == INFER_DIGEST
+
+
+def test_infer_forward_keeps_no_batch_sized_patch_matrix():
+    # conv1's batch-16 patch matrix alone is 35 MiB of float32; infer mode
+    # lowers one clip at a time and peaks near 6 MiB
+    net = build_network(seed=3)
+    x = np.random.default_rng(3).normal(size=(16,) + INPUT_SHAPE).astype(np.float32)
+    net.forward(x[:1], "infer")
+    tracemalloc.start()
+    try:
+        net.forward(x, "infer")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
