@@ -89,7 +89,7 @@ def read_header(path) -> dict:
         raise TruncatedPayload(f"{path}: header cut short")
     try:
         header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise SpecMismatch(f"{path}: unreadable header: {e}") from e
     if not isinstance(header, dict):
         raise SpecMismatch(f"{path}: header is not a JSON object")

@@ -67,7 +67,7 @@ def _load_config(path):
         return {}
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, RecursionError) as e:
         raise UsageError(f"config file {path}: {e}")
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
@@ -128,7 +128,7 @@ def _load_table(path):
         return GestureTable.default()
     try:
         return GestureTable.load(path)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
         raise CliError(2, f"gesture table {path}: {e}")
 
 

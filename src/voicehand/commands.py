@@ -176,8 +176,12 @@ def window_probs(network, samples: np.ndarray, config: StreamConfig = StreamConf
     window's, shifted by k columns. The frames are the same bits as a
     full window's, but conv1's matmul over fewer rows can round
     differently, so the probabilities agree with `classify_window` within
-    1e-5 rather than bit for bit. Any other hop runs `classify_window` on
-    each window.
+    1e-5 rather than bit for bit. Conv1's patch layout adds to this at
+    140 ms only: its 10 output columns there take the offset-major layout
+    (see `layers.Conv2D`), and its 1200-row float32 gemm is small enough
+    for OpenBLAS's small-matrix path, which rounds a transposed patch
+    matrix differently from a row-major one, by up to 4e-7 with the same
+    argmax. Any other hop runs `classify_window` on each window.
     """
     offsets = window_offsets(len(samples), config)
     prefix, suffix = network.layers[:3], network.layers[3:]

@@ -18,6 +18,13 @@ MaxPool2D and BatchNorm return None as their cache: Conv2D lowers one
 clip's patches at a time and keeps none of them, MaxPool2D takes a plain
 max without recording where it was, and BatchNorm uses its moving
 statistics. Backward needs a train-mode cache.
+
+Conv2D lowers its input to a (rows, fh·fw·cin) patch matrix and runs the
+convolution as matmuls on it. How the matrix lies in memory follows the
+input: offset-major for one channel wider than the filter (conv1 on a
+full window, whose patch copies are most of a training step), row-major
+otherwise (conv2). The layout changes no bit of training or of
+full-window inference; see Conv2D.
 """
 
 import numpy as np
@@ -36,15 +43,32 @@ class Conv2D:
     """Valid (no padding) cross-correlation, stride 1, ReLU activation.
 
     Weights are (filter_h, filter_w, in_channels, out_channels). The
-    forward pass lowers input patches to a matrix so the contraction runs
-    as one matmul per clip. Train mode lowers the whole batch and keeps
-    the patch matrix in the cache for the weight gradient. Infer mode
-    lowers one clip at a time into a single reused one-clip buffer and
-    caches nothing (None); each clip's matmul is the same gemm call the
-    batched matmul makes, so both modes give the same bits. As a
-    network's first layer it runs backward with input_grad=False, which
-    skips col2im: the patch-gradient matmul and the scatter loop that
-    sums it back into an input-shaped gradient.
+    forward pass lowers input patches to a (rows, fh·fw·cin) matrix, one
+    row per output position and columns in the weight layout's order, so
+    the contraction is `cols @ W` and the weight gradient `cols.T @ dz`.
+    Train mode lowers the whole batch and keeps the patch matrix in the
+    cache for the weight gradient. Infer mode lowers one clip at a time
+    into a single reused one-clip buffer and caches nothing (None). Its
+    per-clip matmuls give the batch-wide matmul's bits, as a gemm sums
+    each output over the same taps in the same order whatever its row
+    count (the one exception is below). As a network's first layer it runs
+    backward with input_grad=False, which skips col2im: the patch-gradient
+    matmul and the scatter loop that sums it back into an input-shaped
+    gradient.
+
+    The patch matrix's memory layout is the one whose filling copies the
+    longer contiguous runs of input. With one input channel and ow > fw
+    it is offset-major, the transpose of a C-contiguous (fh·fw·cin, rows)
+    buffer: each filter tap copies runs of ow neighbouring input values,
+    and the weight gradient reads the buffer as it lies. Otherwise it is
+    row-major, one run of fw·cin values per patch row. Conv1 on a full
+    129x71 window copies runs of 65 values instead of 7. Conv2 (8
+    channels) and conv1 on a 70 ms stream hop's 11 frames (ow 5) stay
+    row-major: an offset-major run there is strided by cin or shorter
+    than fw, and measured slower. Both layouts feed the gemms the same
+    values; only OpenBLAS's small-matrix float32 path can round a
+    transposed matrix differently in the last bit (`commands.window_probs`
+    names the one call where that shows).
     """
 
     activation = "relu"
@@ -63,32 +87,45 @@ class Conv2D:
             raise ShapeMismatch(f"{self.name}: input {h}x{w} smaller than filter {fh}x{fw}")
         oh, ow = h - fh + 1, w - fw + 1
         patches = np.lib.stride_tricks.sliding_window_view(x, (fh, fw), axis=(1, 2))
-        # (n, oh, ow, cin, fh, fw) -> rows ordered (fh, fw, cin) to match the weight layout
+        # (n, oh, ow, cin, fh, fw) -> (n, oh, ow, fh, fw, cin), the weight layout's order
         patches = patches.transpose(0, 1, 2, 4, 5, 3)
+        w = self.weights.reshape(-1, cout)
         if mode != "train":
-            w = self.weights.reshape(-1, cout)
             z = np.empty((n, oh * ow, cout), dtype=np.result_type(x, self.weights, self.biases))
-            buf = np.empty((oh, ow, fh, fw, cin), dtype=x.dtype)
-            cols = buf.reshape(oh * ow, fh * fw * cin)
+            cols, slots = self._patch_matrix(1, oh, ow, x.dtype)
             for i in range(n):
-                buf[...] = patches[i]
+                slots[...] = patches[i : i + 1]
                 np.matmul(cols, w, out=z[i])
                 z[i] += self.biases
             return np.maximum(z, 0.0, out=z).reshape(n, oh, ow, cout), None
-        cols = np.ascontiguousarray(patches)
-        cols = cols.reshape(n, oh * ow, fh * fw * cin)
-        z = cols @ self.weights.reshape(-1, cout) + self.biases
-        z = z.reshape(n, oh, ow, cout)
-        return np.maximum(z, 0.0), (cols, x.shape, z > 0.0)
+        cols, slots = self._patch_matrix(n, oh, ow, x.dtype)
+        slots[...] = patches
+        z = (cols @ w).reshape(n, oh, ow, cout)
+        z += self.biases
+        active = z > 0.0
+        return np.maximum(z, 0.0, out=z), (cols, x.shape, active)
+
+    def _patch_matrix(self, n, oh, ow, dtype):
+        """An empty (n·oh·ow, fh·fw·cin) patch matrix and a view of its
+        memory shaped (n, oh, ow, fh, fw, cin) to copy patches into.
+        Offset-major when that copies the longer contiguous runs: one
+        input channel and ow > fw; row-major otherwise."""
+        fh, fw, cin, _ = self.weights.shape
+        rows, taps = n * oh * ow, fh * fw * cin
+        if cin == 1 and ow > fw:
+            buf = np.empty((fh, fw, cin, n, oh, ow), dtype=dtype)
+            return buf.reshape(taps, rows).T, buf.transpose(3, 4, 5, 0, 1, 2)
+        buf = np.empty((n, oh, ow, fh, fw, cin), dtype=dtype)
+        return buf.reshape(rows, taps), buf
 
     def backward(self, d_out, cache, input_grad=True):
         cols, x_shape, active = cache
         fh, fw, cin, cout = self.weights.shape
         n, h, w, _ = x_shape
         oh, ow = h - fh + 1, w - fw + 1
-        dz = np.where(active, d_out, 0.0).reshape(n, oh * ow, cout)
-        d_w = np.tensordot(cols, dz, axes=([0, 1], [0, 1])).reshape(self.weights.shape)
-        d_b = dz.sum(axis=(0, 1))
+        dz = np.where(active, d_out, 0.0).reshape(-1, cout)
+        d_w = (cols.T @ dz).reshape(self.weights.shape)
+        d_b = dz.sum(axis=0)
         grads = {f"{self.name}.weights": d_w, f"{self.name}.biases": d_b}
         if not input_grad:
             return None, grads

@@ -21,6 +21,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# JSON nested deeper than the decoder's recursion limit
+DEEP_JSON = b"[" * 200000
+
+
 # ---------------------------------------------------------------- inspect
 
 
@@ -59,6 +63,15 @@ def test_inspect_corrupt_checkpoint_is_checkpoint_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "inspect", "--checkpoint", str(bad))
     assert code == 3
     assert "checkpoint error" in err
+
+
+def test_inspect_deeply_nested_header_is_checkpoint_error(tmp_path, capsys):
+    ckpt = _checkpoint_with_header(tmp_path / "deep.ckpt", DEEP_JSON)
+    code, out, err = run_cli(capsys, "inspect", "--checkpoint", str(ckpt))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("checkpoint error:")
+    assert len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------- features
@@ -258,6 +271,18 @@ def test_stream_bad_input_scheme_is_usage_error(trained, capsys):
     assert "usage error" in err
 
 
+def test_stream_deeply_nested_gesture_table_is_data_error(trained, tmp_path, capsys):
+    table_path = tmp_path / "deep.json"
+    table_path.write_bytes(DEEP_JSON)
+    wav, _ = _long_recording(tmp_path)
+    code, out, err = run_cli(capsys, "stream", "--checkpoint", str(trained.best_ckpt),
+                             "--gesture-table", str(table_path), "--input", f"wav:{wav}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: gesture table")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--hop-ms", "0"),
     ("--threshold", "1.5"),
@@ -390,6 +415,16 @@ def test_train_broken_config_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "train", "--config", str(config))
     assert code == 1
     assert "usage error" in err
+
+
+def test_train_deeply_nested_config_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "deep.json"
+    config.write_bytes(DEEP_JSON)
+    code, out, err = run_cli(capsys, "train", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: config file")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("key, value", [

@@ -502,3 +502,53 @@ def test_pool_infer_is_train_bit_for_bit_for_any_shape(data, dtype, ph, pw):
     y, cache = layer.forward(x, "infer")
     assert cache is None
     assert_same_bits(y, layer.forward(x, "train")[0])
+
+
+# ---------------------------------------------------------------- patch layout
+
+
+def _row_major_reference(layer, x, d_out):
+    """(output, weight grad, bias grad, input grad) of a conv layer through
+    a C-contiguous (rows, fh·fw·cin) patch matrix: `@` forward, tensordot
+    gradients, col2im summed filter tap by filter tap."""
+    fh, fw, cin, cout = layer.weights.shape
+    n, h, w, _ = x.shape
+    oh, ow = h - fh + 1, w - fw + 1
+    patches = np.lib.stride_tricks.sliding_window_view(x, (fh, fw), axis=(1, 2))
+    cols = np.ascontiguousarray(patches.transpose(0, 1, 2, 4, 5, 3)).reshape(n * oh * ow, -1)
+    weights = layer.weights.reshape(-1, cout)
+    z = cols @ weights + layer.biases
+    y = np.maximum(z, 0.0).reshape(n, oh, ow, cout)
+    dz = np.where(z > 0.0, d_out.reshape(-1, cout), 0.0)
+    d_w = np.tensordot(cols, dz, axes=([0], [0])).reshape(layer.weights.shape)
+    d_cols = np.tensordot(dz, weights, axes=([1], [1])).reshape(n, oh, ow, fh, fw, cin)
+    d_x = np.zeros(x.shape, dtype=d_out.dtype)
+    for a in range(fh):
+        for b in range(fw):
+            d_x[:, a : a + oh, b : b + ow, :] += d_cols[:, :, :, a, b, :]
+    return y, d_w, dz.sum(axis=0), d_x
+
+
+# conv1 on a full window (offset-major patches), conv1 on a 70 ms stream
+# hop's 11 frames and conv2 on pool1's output (both row-major)
+NETWORK_CONVS = [((10, 7, 1, 8), (1, 129, 71, 1)), ((10, 7, 1, 8), (2, 129, 71, 1)),
+                 ((10, 7, 1, 8), (1, 129, 11, 1)),
+                 ((7, 5, 8, 32), (1, 17, 13, 8)), ((7, 5, 8, 32), (2, 17, 13, 8))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("w_shape, x_shape", NETWORK_CONVS)
+def test_conv_is_row_major_reference_bit_for_bit_at_network_size(dtype, w_shape, x_shape):
+    rng = np.random.default_rng(42)
+    layer = Conv2D("c", (rng.normal(size=w_shape) * 0.2).astype(dtype),
+                   (rng.normal(size=w_shape[-1]) * 0.1).astype(dtype))
+    x = rng.normal(size=x_shape).astype(dtype)
+    y, cache = layer.forward(x, "train")
+    d_out = rng.normal(size=y.shape).astype(dtype)
+    d_x, grads = layer.backward(d_out, cache)
+    want_y, want_w, want_b, want_x = _row_major_reference(layer, x, d_out)
+    assert_same_bits(y, want_y)
+    assert_same_bits(layer.forward(x, "infer")[0], want_y)
+    assert_same_bits(grads["c.weights"], want_w)
+    assert_same_bits(grads["c.biases"], want_b)
+    assert_same_bits(d_x, want_x)

@@ -15,6 +15,7 @@ from voicehand.errors import (
     UnsupportedChannels,
     UnsupportedEncoding,
     UnsupportedSampleRate,
+    VoicehandError,
 )
 from voicehand.wav import AudioClip, decode_wav, read_wav, write_wav
 
@@ -136,3 +137,50 @@ def test_round_trip_exact(tmp_path_factory, values):
     write_wav(path, samples)
     back = read_wav(path)
     np.testing.assert_array_equal(back.samples, samples)
+
+
+# (format, channels, rate, bits) of a fmt chunk that decode_wav accepts
+FMT_FIELDS = (1, 1, 16000, 16)
+WRONG_FMT_FIELDS = [(3, 1, 16000, 16), (1, 2, 16000, 16), (1, 0, 16000, 16),
+                    (1, 1, 8000, 16), (1, 1, 16000, 8)]
+
+
+@st.composite
+def wav_like_bytes(draw):
+    """A RIFF file near an accepted one. It has a fmt and a data chunk and
+    maybe two more chunks. Each defect comes one time in four: a fmt chunk
+    of random bytes or with one wrong field, a chunk size other than the
+    true one, the chunks shuffled, a few bytes overwritten, the end cut."""
+    defect = st.sampled_from([False, False, False, True])
+    fields = draw(st.sampled_from(WRONG_FMT_FIELDS)) if draw(defect) else FMT_FIELDS
+    code, channels, rate, bits = fields
+    fmt = struct.pack("<HHIIHH", code, channels, rate, rate * channels * 2, channels * 2, bits)
+    if draw(defect):
+        fmt = draw(st.binary(max_size=16))
+    chunks = [(b"fmt ", fmt + draw(st.binary(max_size=3))), (b"data", draw(st.binary(max_size=40)))]
+    chunk_ids = st.sampled_from([b"fmt ", b"data", b"LIST"]) | st.binary(min_size=4, max_size=4)
+    chunks += draw(st.lists(st.tuples(chunk_ids, st.binary(max_size=9)), max_size=2))
+    if draw(defect):
+        chunks = draw(st.permutations(chunks))
+    body = b""
+    for chunk_id, chunk in chunks:
+        size = draw(st.integers(0, 2**32 - 1)) if draw(defect) else len(chunk)
+        body += chunk_id + struct.pack("<I", size) + chunk + b"\0" * (len(chunk) & 1)
+    data = bytearray(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    if draw(defect):
+        for at, value in draw(st.lists(st.tuples(st.integers(0, len(data) - 1),
+                                                 st.integers(0, 255)), min_size=1, max_size=3)):
+            data[at] = value
+    return bytes(data[: draw(st.integers(0, len(data)))] if draw(defect) else data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64) | wav_like_bytes())
+def test_any_bytes_decode_to_a_clip_or_a_voicehand_error(data):
+    try:
+        clip = decode_wav(data)
+    except VoicehandError:
+        return
+    assert isinstance(clip, AudioClip)
+    assert clip.samples.dtype == np.int16 and clip.samples.ndim == 1
+    assert 2 * len(clip.samples) <= len(data)
