@@ -24,9 +24,9 @@ from .commands import (
 from .dataset import DatasetIndex, Entry, index_dataset, subsample_unknown
 from .errors import VoicehandError
 from .features import (
-    DEFAULT_STFT,
     FEATURE_SHAPE,
-    StftSpec,
+    HOP,
+    SEGMENT_LENGTH,
     compute_features,
     hann_window,
     log_compress,

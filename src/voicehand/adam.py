@@ -6,7 +6,7 @@ import numpy as np
 class Adam:
     """Bias-corrected Adam.
 
-    Per step, for each parameter with gradient g:
+    Per step, for each parameter with gradient g (b1 = BETA1, b2 = BETA2):
         m <- b1 m + (1 - b1) g
         v <- b2 v + (1 - b2) g^2
         theta <- theta - lr * mhat / (sqrt(vhat) + eps)
@@ -15,10 +15,11 @@ class Adam:
     independent of gradient scale.
     """
 
-    def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-7):
+    BETA1 = 0.9
+    BETA2 = 0.999
+
+    def __init__(self, learning_rate=1e-3, epsilon=1e-7):
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
         self.t = 0
         self.m = {}
@@ -30,8 +31,8 @@ class Adam:
         if missing:
             raise KeyError(f"gradients missing for {sorted(missing)}")
         self.t += 1
-        correction1 = 1.0 - self.beta1**self.t
-        correction2 = 1.0 - self.beta2**self.t
+        correction1 = 1.0 - self.BETA1**self.t
+        correction2 = 1.0 - self.BETA2**self.t
         for name, theta in params.items():
             g = grads[name]
             if g.shape != theta.shape:
@@ -41,10 +42,10 @@ class Adam:
                 self.v[name] = np.zeros_like(theta)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * np.square(g)
             mhat = m / correction1
             vhat = v / correction2
             theta -= (self.learning_rate * mhat / (np.sqrt(vhat) + self.epsilon)).astype(theta.dtype)

@@ -17,14 +17,7 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .commands import StreamConfig, accepts, recognize_clip, stream_decode
 from .dataset import index_dataset, subsample_unknown
-from .errors import (
-    BadMagic,
-    NonFinitePayload,
-    SpecMismatch,
-    TruncatedPayload,
-    UnsupportedVersion,
-    VoicehandError,
-)
+from .errors import CheckpointError, VoicehandError
 from .features import compute_features, export_csv
 from .gestures import CLASS_NAMES, GestureTable
 from .network import (
@@ -39,9 +32,6 @@ from .train import TrainConfig, evaluate, fit
 from .wav import read_wav
 
 DATA_DIR_ENV = "VOICEHAND_DATA_DIR"
-
-CHECKPOINT_ERRORS = (BadMagic, UnsupportedVersion, SpecMismatch, TruncatedPayload,
-                     NonFinitePayload)
 
 
 class UsageError(Exception):
@@ -67,7 +57,7 @@ def _load_config(path):
         return {}
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError, RecursionError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise UsageError(f"config file {path}: {e}")
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
@@ -84,11 +74,12 @@ def _pick(flag_value, config, key, default):
 
 
 def _pick_as(convert, flag_value, config, key, default):
-    """`_pick`, converted; a config value of the wrong type is a usage error."""
+    """`_pick`, converted; a config value of the wrong type, or a number
+    the type cannot hold (1e400 as an int), is a usage error."""
     value = _pick(flag_value, config, key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"config key {key}: expected {convert.__name__}, got {value!r}")
 
 
@@ -128,7 +119,7 @@ def _load_table(path):
         return GestureTable.default()
     try:
         return GestureTable.load(path)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
         raise CliError(2, f"gesture table {path}: {e}")
 
 
@@ -168,10 +159,12 @@ def _print_confusion(confusion):
 
 
 def cmd_eval(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"eval: seed must be at least 0, got {args.seed}")
     config_file = _load_config(args.config)
     data_dir = _resolve_data_dir(args.data_dir, config_file)
     network, _ = _network_from_checkpoint(args.checkpoint)
-    index = subsample_unknown(index_dataset(data_dir), int(args.seed))
+    index = subsample_unknown(index_dataset(data_dir), args.seed)
     entries = index.split_entries(args.split)
     accuracy, confusion = evaluate(network, entries)
     if args.json:
@@ -325,7 +318,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except CHECKPOINT_ERRORS as e:
+    except CheckpointError as e:
         print(f"checkpoint error: {e}", file=sys.stderr)
         return 3
     except VoicehandError as e:

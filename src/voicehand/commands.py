@@ -20,8 +20,9 @@ import numpy as np
 
 from .audio import WINDOW_SAMPLES, to_window, to_window_values
 from .errors import ChannelOutOfRange, CodeOutOfRange, DuplicateChannel
-from .features import DEFAULT_STFT, FEATURE_SHAPE, log_compress, stft_power
-from .gestures import FINGERS, FingerTrajectory, GestureClass, GestureTable, lookup_trajectory
+from .features import FEATURE_SHAPE, HOP, log_compress, stft_power
+from .gestures import (DEFAULT_CHANNEL_MAP, FINGERS, FingerTrajectory, GestureClass, GestureTable,
+                       lookup_trajectory)
 from .wav import SAMPLE_RATE, AudioClip
 
 CMD_WRITE_UPDATE = 0x30
@@ -38,13 +39,12 @@ class DacFrame:
 
 
 def trajectory_to_codes(trajectory: FingerTrajectory, max_fraction=(1.0,) * 8,
-                        channel_map=None) -> tuple:
+                        channel_map=DEFAULT_CHANNEL_MAP) -> tuple:
     """16-bit codes in finger order (thumb first).
 
     code = round_half_up(value * max_fraction[channel] * 65535), where the
     cap is looked up on the channel the finger is wired to.
     """
-    channel_map = channel_map or {f: i for i, f in enumerate(FINGERS)}
     codes = []
     for finger, value in zip(FINGERS, trajectory.as_tuple()):
         cap = max_fraction[channel_map[finger]]
@@ -52,9 +52,8 @@ def trajectory_to_codes(trajectory: FingerTrajectory, max_fraction=(1.0,) * 8,
     return tuple(codes)
 
 
-def encode_dac_frames(codes, channel_map=None) -> tuple:
+def encode_dac_frames(codes, channel_map=DEFAULT_CHANNEL_MAP) -> tuple:
     """One frame per finger, thumb first; validates channels and codes."""
-    channel_map = channel_map or {f: i for i, f in enumerate(FINGERS)}
     seen = {}
     frames = []
     for finger, code in zip(FINGERS, codes):
@@ -188,7 +187,7 @@ def window_probs(network, samples: np.ndarray, config: StreamConfig = StreamConf
     fw, pw = prefix[0].weights.shape[1], prefix[1].pool_w
     n_frames = FEATURE_SHAPE[1]
     window_columns = (n_frames - fw + 1) // pw
-    k, unaligned = divmod(config.hop_samples, DEFAULT_STFT.hop * pw)
+    k, unaligned = divmod(config.hop_samples, HOP * pw)
     if unaligned or k >= window_columns:
         for offset in offsets:
             window = to_window_values(samples[offset : offset + WINDOW_SAMPLES], pad=False)
@@ -196,7 +195,7 @@ def window_probs(network, samples: np.ndarray, config: StreamConfig = StreamConf
         return
     new_frames = pw * k
     reads = slice(pw * (window_columns - k), pw * window_columns + fw - 1)
-    start = (n_frames - new_frames) * DEFAULT_STFT.hop  # first sample of the new frames
+    start = (n_frames - new_frames) * HOP  # first sample of the new frames
     frames = columns = None
     for offset in offsets:
         first = offset if frames is None else offset + start

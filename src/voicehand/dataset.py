@@ -43,8 +43,9 @@ def _read_list(path: Path):
     return {line.strip() for line in path.read_text().splitlines() if line.strip()}
 
 
-def index_dataset(root, known_words=KNOWN_WORDS) -> DatasetIndex:
-    """Walk the dataset tree and assign every WAV a label and a split."""
+def index_dataset(root) -> DatasetIndex:
+    """Walk the dataset tree and assign every WAV a label and a split: its
+    folder's word among KNOWN_WORDS, or unknown."""
     root = Path(root)
     val_list = root / "validation_list.txt"
     test_list = root / "testing_list.txt"
@@ -60,6 +61,7 @@ def index_dataset(root, known_words=KNOWN_WORDS) -> DatasetIndex:
         if word_dir.name == NOISE_DIR:
             noise_files.extend(wavs)
             continue
+        label = GestureClass.from_word(word_dir.name)
         for wav in wavs:
             rel = f"{word_dir.name}/{wav.name}"
             if rel in val_names:
@@ -68,11 +70,6 @@ def index_dataset(root, known_words=KNOWN_WORDS) -> DatasetIndex:
                 split = "test"
             else:
                 split = "train"
-            label = (
-                GestureClass.from_word(word_dir.name)
-                if word_dir.name in known_words
-                else GestureClass.UNKNOWN
-            )
             entries.append(Entry(path=wav, label=label, split=split))
 
     if not entries:

@@ -81,21 +81,25 @@ class CodeOutOfRange(VoicehandError):
 
 # --- checkpoint files ---
 
-class BadMagic(VoicehandError):
+class CheckpointError(VoicehandError):
+    """Base class for a weight checkpoint that cannot be loaded."""
+
+
+class BadMagic(CheckpointError):
     """Checkpoint file does not start with the expected magic bytes."""
 
 
-class UnsupportedVersion(VoicehandError):
+class UnsupportedVersion(CheckpointError):
     """Checkpoint format version is not supported."""
 
 
-class SpecMismatch(VoicehandError):
+class SpecMismatch(CheckpointError):
     """Checkpoint header describes a different network architecture."""
 
 
-class TruncatedPayload(VoicehandError):
+class TruncatedPayload(CheckpointError):
     """Checkpoint parameter payload is shorter than the header promises."""
 
 
-class NonFinitePayload(VoicehandError):
+class NonFinitePayload(CheckpointError):
     """Checkpoint parameter payload holds a NaN or infinite value."""

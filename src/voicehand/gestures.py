@@ -79,7 +79,8 @@ class GestureTable:
     """Maps each of the 8 known words to a trajectory; unknown has no row.
 
     Also carries the per-DAC-channel max_fraction used to derive a
-    software voltage cap, and the finger-to-channel assignment.
+    software voltage cap, and the finger-to-channel assignment: each of
+    the five fingers on its own channel in 0..7.
     """
 
     rows: dict
@@ -93,6 +94,12 @@ class GestureTable:
             raise ValueError("max_fraction needs 8 values in (0, 1]")
         if self.channel_map is None:
             object.__setattr__(self, "channel_map", dict(DEFAULT_CHANNEL_MAP))
+        if set(self.channel_map) != set(FINGERS):
+            raise ValueError(f"channels must map exactly {FINGERS}")
+        channels = list(self.channel_map.values())
+        if (any(not isinstance(c, int) or not 0 <= c <= 7 for c in channels)
+                or len(set(channels)) < len(channels)):
+            raise ValueError(f"channels must be distinct ints in 0..7, got {channels}")
 
     @classmethod
     def default(cls) -> "GestureTable":
@@ -101,10 +108,14 @@ class GestureTable:
 
     @classmethod
     def load(cls, path) -> "GestureTable":
-        raw = json.loads(Path(path).read_text())
-        rows = {w: FingerTrajectory(*map(float, v)) for w, v in raw["gestures"].items()}
+        """A table from its JSON file; malformed contents raise ValueError,
+        KeyError, TypeError or OverflowError."""
+        raw = _json_object(json.loads(Path(path).read_text()), "document")
+        gestures = _json_object(raw["gestures"], "gestures")
+        channels = _json_object(raw.get("channels", DEFAULT_CHANNEL_MAP), "channels")
+        rows = {w: FingerTrajectory(*map(float, v)) for w, v in gestures.items()}
         max_fraction = tuple(float(f) for f in raw.get("max_fraction", (1.0,) * 8))
-        channel_map = {k: int(v) for k, v in raw.get("channels", DEFAULT_CHANNEL_MAP).items()}
+        channel_map = {k: int(v) for k, v in channels.items()}
         return cls(rows=rows, max_fraction=max_fraction, channel_map=channel_map)
 
     def save(self, path) -> None:
@@ -114,6 +125,12 @@ class GestureTable:
             "channels": self.channel_map,
         }
         Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def _json_object(value, what) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def lookup_trajectory(table: GestureTable, gesture: GestureClass):

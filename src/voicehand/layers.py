@@ -14,10 +14,11 @@ Parameter dtype is float32 in production and float64 in verification
 builds; a layer never changes the dtype it was built with.
 
 Only train mode builds what backward reads. In infer mode Conv2D,
-MaxPool2D and BatchNorm return None as their cache: Conv2D lowers one
-clip's patches at a time and keeps none of them, MaxPool2D takes a plain
-max without recording where it was, and BatchNorm uses its moving
-statistics. Backward needs a train-mode cache.
+MaxPool2D, BatchNorm and Dropout return None as their cache: Conv2D
+lowers one clip's patches at a time and keeps none of them, MaxPool2D
+takes a plain max without recording where it was, BatchNorm uses its
+moving statistics and Dropout passes its input through. Backward needs
+a train-mode cache.
 
 Conv2D lowers its input to a (rows, fh·fw·cin) patch matrix and runs the
 convolution as matmuls on it. How the matrix lies in memory follows the
@@ -287,9 +288,11 @@ class Flatten:
 class Dense:
     """Fully connected layer: out = activation(x @ W + b).
 
-    activation is "relu", "softmax", or None. A softmax Dense has no
-    standalone backward: its gradient arrives already fused with the
-    cross-entropy loss at the logits, signaled via at_logits=True.
+    activation is "relu", "softmax", or None. Backward takes the
+    gradient at the activation's output, except for softmax: a softmax
+    Dense ends the network, whose loss gradient is fused with the softmax
+    and arrives at the logits (see `Network.backward`), so its backward
+    takes the gradient at the logits.
     """
 
     def __init__(self, name, weights, biases, activation=None):
@@ -310,14 +313,9 @@ class Dense:
             return softmax(z), (x, None)
         return z, (x, None)
 
-    def backward(self, d_out, cache, at_logits=False, input_grad=True):
+    def backward(self, d_out, cache, input_grad=True):
         x, active = cache
-        if self.activation == "relu" and not at_logits:
-            dz = np.where(active, d_out, 0.0)
-        elif self.activation == "softmax" and not at_logits:
-            raise ValueError(f"{self.name}: softmax gradient must be fused with the loss")
-        else:
-            dz = d_out
+        dz = d_out if active is None else np.where(active, d_out, 0.0)
         d_w = x.T @ dz
         d_b = dz.sum(axis=0)
         grads = {f"{self.name}.weights": d_w, f"{self.name}.biases": d_b}
@@ -334,7 +332,9 @@ class Dense:
 
 class Dropout:
     """Inverted dropout: training zeroes each element with probability
-    `rate` and scales survivors by 1/(1-rate); inference is the identity."""
+    `rate` and scales survivors by 1/(1-rate); inference is the identity.
+    The cache is the keep mask, or None where nothing was dropped (infer
+    mode, rate 0), for which backward passes the gradient through."""
 
     def __init__(self, name, rate=0.5):
         if not 0.0 <= rate < 1.0:
@@ -344,7 +344,7 @@ class Dropout:
 
     def forward(self, x, mode="infer", rng=None):
         if mode != "train" or self.rate == 0.0:
-            return x, np.ones(x.shape, dtype=bool)
+            return x, None
         if rng is None:
             raise ValueError(f"{self.name}: train-mode dropout needs an rng")
         mask = rng.random(x.shape) >= self.rate
@@ -352,7 +352,7 @@ class Dropout:
 
     def backward(self, d_out, cache):
         mask = cache
-        if self.rate == 0.0:
+        if mask is None:
             return d_out, {}
         return np.where(mask, d_out / (1.0 - self.rate), 0.0), {}
 

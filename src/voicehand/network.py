@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, StaleTrace
+from .features import FEATURE_SHAPE
 from .gestures import CLASS_NAMES
 from .layers import BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool2D
 from .rng import substream
 
-INPUT_SHAPE = (129, 71, 1)
+INPUT_SHAPE = FEATURE_SHAPE + (1,)  # (129, 71, 1)
 
 # architecture hyperparameters, also the checkpoint header's spec descriptor
 ARCH = (
@@ -90,7 +91,8 @@ class Network:
     def backward(self, trace: ForwardTrace, targets: np.ndarray) -> dict:
         """Gradients of the mean cross-entropy loss for every trainable
         parameter. The softmax and the loss are differentiated together:
-        the seed gradient at the final logits is (p - onehot) / batch.
+        the seed gradient at the final (softmax) Dense's logits is
+        (p - onehot) / batch, which that layer's backward takes as it is.
         The first layer, a Conv2D or Dense, runs with input_grad=False:
         the network input is data, so its gradient would go unread."""
         if trace.version != self.version:
@@ -99,13 +101,11 @@ class Network:
         if targets.shape != trace.probs.shape:
             raise ShapeMismatch(f"targets {targets.shape} vs probs {trace.probs.shape}")
         d = (trace.probs - targets) / trace.probs.shape[0]
-        layers, caches = self.layers, trace.caches
-        d, grads = layers[-1].backward(d, caches[-1], at_logits=True, input_grad=len(layers) > 1)
-        for i in range(len(layers) - 2, 0, -1):
-            d, layer_grads = layers[i].backward(d, caches[i])
+        grads = {}
+        for layer, cache in zip(self.layers[:0:-1], trace.caches[:0:-1]):
+            d, layer_grads = layer.backward(d, cache)
             grads.update(layer_grads)
-        if len(layers) > 1:
-            grads.update(layers[0].backward(d, caches[0], input_grad=False)[1])
+        grads.update(self.layers[0].backward(d, trace.caches[0], input_grad=False)[1])
         return grads
 
     def parameters(self) -> dict:

@@ -18,14 +18,16 @@ from .audio import NoisePool, mix_noise, to_window
 from .checkpoint import save_checkpoint
 from .dataset import DatasetIndex
 from .errors import EmptyNoisePool, EmptySplit, EmptyTrainingSplit
-from .features import FEATURE_SHAPE, log_compress, stft_power
+from .features import log_compress, stft_power
 from .gestures import CLASS_NAMES
-from .network import Network
+from .network import INPUT_SHAPE, Network
 from .rng import substream
 from .wav import read_wav
 
 N_CLASSES = len(CLASS_NAMES)
 PROB_FLOOR = 1e-12  # keeps the loss finite when the net is certain and wrong
+NOISE_PROB = 0.8  # share of augmented training windows that get background noise
+NOISE_GAIN_MAX = 0.1  # noise gain is drawn uniformly from [0, NOISE_GAIN_MAX)
 
 LOG_COLUMNS = ("epoch", "train_loss", "train_acc", "val_acc", "seconds")
 
@@ -37,8 +39,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 17
     augment: bool = True
-    noise_prob: float = 0.8
-    noise_gain_max: float = 0.1
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -48,6 +48,8 @@ class TrainConfig:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and above 0, "
                              f"got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -89,14 +91,14 @@ class ClipStore:
 
 def _augmented_window(window, pool, config: TrainConfig, epoch: int, index: int):
     rng = substream(config.seed, "augment", epoch, index)
-    if rng.random() >= config.noise_prob:
+    if rng.random() >= NOISE_PROB:
         return window
-    gain = rng.uniform(0.0, config.noise_gain_max)
+    gain = rng.uniform(0.0, NOISE_GAIN_MAX)
     return mix_noise(window, pool, gain, int(rng.integers(2**63)))
 
 
 def _features_batch(windows, dtype) -> np.ndarray:
-    batch = np.empty((len(windows),) + FEATURE_SHAPE + (1,), dtype=dtype)
+    batch = np.empty((len(windows),) + INPUT_SHAPE, dtype=dtype)
     for row, window in enumerate(windows):
         batch[row, :, :, 0] = log_compress(stft_power(window))
     return batch

@@ -7,8 +7,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from voicehand.checkpoint import save_checkpoint
 from voicehand.cli import DATA_DIR_ENV, main
+from voicehand.gestures import GestureTable
+from voicehand.network import build_network
 from voicehand.synth import tone_samples
 from voicehand.wav import write_wav
 
@@ -23,6 +28,16 @@ def run_cli(capsys, *argv):
 
 # JSON nested deeper than the decoder's recursion limit
 DEEP_JSON = b"[" * 200000
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    """A checkpoint of a freshly built network and one tone clip: enough
+    for `recognize` to load and run, without training."""
+    root = tmp_path_factory.mktemp("fresh")
+    save_checkpoint(root / "fresh.ckpt", build_network())
+    tone_wav(root / "tone.wav", 2000.0)
+    return root
 
 
 # ---------------------------------------------------------------- inspect
@@ -164,6 +179,35 @@ def test_recognize_bad_table_is_data_error(trained, tmp_path, capsys):
     code, _, err = run_cli(capsys, "recognize", "--checkpoint", str(trained.best_ckpt),
                            "--wav", str(wav), "--gesture-table", str(table_path))
     assert code == 2
+
+
+# the default gesture table as its JSON document
+TABLE = {"gestures": {w: list(t.as_tuple()) for w, t in GestureTable.default().rows.items()},
+         "max_fraction": list(GestureTable.default().max_fraction),
+         "channels": dict(GestureTable.default().channel_map)}
+CHANNELS = TABLE["channels"]
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {**TABLE, "gestures": []},
+    {**TABLE, "channels": [1]},
+    {**TABLE, "channels": {k: v for k, v in CHANNELS.items() if k != "little"}},
+    {**TABLE, "channels": {**CHANNELS, "thumb": 9}},
+    {**TABLE, "channels": {**CHANNELS, "index": 0}},
+    {**TABLE, "channels": {**CHANNELS, "ring": -1}},
+    {**TABLE, "channels": {**CHANNELS, "ring": "x"}},
+], ids=["document-list", "gestures-list", "channels-list", "channels-missing-finger",
+        "channel-9", "channel-duplicate", "channel-negative", "channel-string"])
+def test_recognize_malformed_gesture_table_is_data_error(fresh, tmp_path, capsys, doc):
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "recognize", "--checkpoint", str(fresh / "fresh.ckpt"),
+                             "--wav", str(fresh / "tone.wav"), "--gesture-table", str(table_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: gesture table")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "5", "1.0001"])
@@ -332,6 +376,20 @@ def test_eval_missing_dataset_is_data_error(trained, tmp_path, capsys):
     assert code == 2
 
 
+def test_eval_negative_seed_is_usage_error(fresh, tmp_path, capsys):
+    # one known and two unknown words: the val split's unknown class is thinned with the seed
+    data = write_word_tree(tmp_path / "data", ("zero", "hello", "bye"))
+    argv = ["eval", "--checkpoint", str(fresh / "fresh.ckpt"), "--data-dir", str(data),
+            "--split", "val"]
+    code, out, err = run_cli(capsys, *argv, "--seed=-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:") and "seed" in err
+    assert len(err.splitlines()) == 1
+    code, _, _ = run_cli(capsys, *argv, "--seed=0")
+    assert code == 0
+
+
 # ---------------------------------------------------------------- train
 
 
@@ -417,6 +475,16 @@ def test_train_broken_config_is_usage_error(tmp_path, capsys):
     assert "usage error" in err
 
 
+def test_train_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_bytes(b'\xff\xfe{"epochs": 1}')
+    code, out, err = run_cli(capsys, "train", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: config file")
+    assert len(err.splitlines()) == 1
+
+
 def test_train_deeply_nested_config_is_usage_error(tmp_path, capsys):
     config = tmp_path / "deep.json"
     config.write_bytes(DEEP_JSON)
@@ -481,6 +549,11 @@ def test_console_entry_point_runs():
     ([], {"epochs": -1}, "epochs"),
     ([], {"data-dir": 5}, "data-dir"),
     ([], {"out": 5}, "out"),
+    (["--seed=-1"], {}, "seed"),
+    ([], {"seed": -1}, "seed"),
+    ([], {"epochs": float("inf")}, "epochs"),  # as 1e400 decodes: no int holds it
+    ([], {"seed": float("inf")}, "seed"),
+    ([], {"batch-size": float("inf")}, "batch-size"),
 ])
 def test_train_bad_size_or_path_is_usage_error(tmp_path, capsys, flags, config, named):
     conf = tmp_path / "conf.json"
@@ -509,3 +582,71 @@ def test_train_learning_rate_not_finite_and_positive_is_usage_error(tmp_path, ca
     assert err.startswith("usage error:") and "learning_rate" in err
     assert out == ""
     assert not (tmp_path / "run").exists()
+
+
+# ---------------------------------------------------------------- fuzzed JSON inputs
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+# half the fields get an edge number: a negative seed, an infinity no int holds, an int
+# no float holds
+FIELD_VALUES = st.sampled_from([-1, 0, float("inf"), float("-inf"), 10**400]) | JSON_VALUES
+# run_cli reads and clears capsys after every call, so examples share it safely
+FUZZ = settings(max_examples=100, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _field_paths(doc, prefix=()):
+    """The path of `doc` itself and of every field nested in it."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+TRAIN_CONFIG = {"data-dir": "data", "out": "run", "epochs": 2, "batch-size": 4, "lr": 1e-3,
+                "seed": 17, "no-augment": True}
+
+
+@FUZZ
+@given(path=st.sampled_from(list(_field_paths(TRAIN_CONFIG))), value=FIELD_VALUES)
+def test_train_config_with_any_json_field_ends_in_an_exit_code(fresh, capsys, path, value):
+    # the data directory is missing, so a config that passes every check ends in a data error
+    conf = fresh / "fuzz.json"
+    conf.write_text(json.dumps(_replaced(TRAIN_CONFIG, path, value)))
+    code, out, err = run_cli(capsys, "train", "--config", str(conf),
+                             "--data-dir", str(fresh / "missing"))
+    assert code in (1, 2)
+    assert out == ""
+    assert err.startswith("usage error:" if code == 1 else "data error:")
+
+
+@FUZZ
+@given(path=st.sampled_from(list(_field_paths(TABLE))), value=FIELD_VALUES)
+def test_gesture_table_with_any_json_field_ends_in_an_exit_code(fresh, capsys, path, value):
+    table_path = fresh / "fuzz-table.json"
+    table_path.write_text(json.dumps(_replaced(TABLE, path, value)))
+    code, out, err = run_cli(capsys, "recognize", "--checkpoint", str(fresh / "fresh.ckpt"),
+                             "--wav", str(fresh / "tone.wav"), "--gesture-table", str(table_path))
+    assert code in (0, 2)
+    if code == 0:
+        assert json.loads(out)["class"]
+    else:
+        assert out == ""
+        assert err.startswith("error: gesture table")

@@ -14,9 +14,9 @@ from hypothesis.extra.numpy import arrays
 from voicehand.audio import to_window_values
 from voicehand.errors import BadWindowLength
 from voicehand.features import (
-    DEFAULT_STFT,
     FEATURE_SHAPE,
-    StftSpec,
+    HOP,
+    SEGMENT_LENGTH,
     compute_features,
     export_csv,
     hann_window,
@@ -33,14 +33,15 @@ def dft_matrix(n=256, bins=129):
     return np.exp(-2j * np.pi * k * t / n)
 
 
-def oracle_power(window, spec=DEFAULT_STFT):
+def oracle_power(window, n=256, hop=224):
     """One-sided power spectrogram straight from the DFT definition."""
-    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(spec.segment_length) / spec.segment_length)
-    e = dft_matrix(spec.segment_length, spec.fft_bins)
-    frames = spec.frame_count(len(window))
-    out = np.empty((spec.fft_bins, frames))
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    bins = n // 2 + 1
+    e = dft_matrix(n, bins)
+    frames = (len(window) - n) // hop + 1
+    out = np.empty((bins, frames))
     for t in range(frames):
-        seg = window[t * spec.hop : t * spec.hop + spec.segment_length] * w
+        seg = window[t * hop : t * hop + n] * w
         coeffs = e @ seg
         out[:, t] = coeffs.real**2 + coeffs.imag**2
     return out
@@ -62,10 +63,8 @@ def test_power_matches_dft_oracle_on_random_windows():
 
 
 def test_geometry_129_bins_71_frames():
-    assert DEFAULT_STFT.segment_length == 256
-    assert DEFAULT_STFT.hop == 224
-    assert DEFAULT_STFT.fft_bins == 129
-    assert DEFAULT_STFT.frame_count(16000) == 71
+    assert SEGMENT_LENGTH == 256
+    assert HOP == 224
     assert FEATURE_SHAPE == (129, 71)
 
 
@@ -124,20 +123,10 @@ def test_input_without_one_segment_in_one_dimension_rejected(shape):
 def test_short_signal_frames_are_bitwise_those_of_a_full_window():
     # the stream cache computes a 70 ms hop's 5 new frames from 1152 samples
     window = np.random.default_rng(4).uniform(-1, 1, 16000)
-    first = 66 * DEFAULT_STFT.hop
+    first = 66 * HOP
     part = stft_power(window[first : first + 1152])
     assert part.shape == (129, 5)
     assert part.tobytes() == stft_power(window)[:, 66:].tobytes()
-
-
-def test_custom_spec_geometry():
-    spec = StftSpec(segment_length=512, hop=256)
-    assert spec.fft_bins == 257
-    assert spec.frame_count(16000) == 61
-    window = np.sin(np.arange(16000.0) * 0.01)
-    got = stft_power(window, spec)
-    assert got.shape == (257, 61)
-    assert rel_err(got, oracle_power(window, spec)) < 1e-6
 
 
 def test_compute_features_pads_short_clips():

@@ -336,13 +336,15 @@ def test_softmax_survives_extreme_logits():
 def test_dense_softmax_backward_requires_fused_logit_gradient():
     rng = np.random.default_rng(20)
     layer = Dense("d", rng.normal(size=(4, 3)), np.zeros(3), activation="softmax")
-    y, cache = layer.forward(rng.normal(size=(2, 4)))
+    x = rng.normal(size=(2, 4))
+    y, cache = layer.forward(x)
     np.testing.assert_allclose(y.sum(axis=1), 1.0, rtol=1e-12)
-    with pytest.raises(ValueError):
-        layer.backward(np.ones_like(y), cache)
-    d_x, grads = layer.backward(np.ones_like(y) / 2, cache, at_logits=True)
-    assert d_x.shape == (2, 4)
+    d = np.ones_like(y) / 2
+    d_x, grads = layer.backward(d, cache)
     assert set(grads) == {"d.weights", "d.biases"}
+    # the gradient arrives at the logits: backward applies no softmax Jacobian
+    np.testing.assert_array_equal(grads["d.weights"], x.T @ d)
+    np.testing.assert_array_equal(d_x, d @ layer.weights.T)
 
 
 # ---------------------------------------------------------------- flatten, dropout
@@ -368,6 +370,19 @@ def test_dropout_rate_zero_is_identity_without_rng():
     x = np.ones((3, 3))
     y, _ = Dropout("do", 0.0).forward(x, "train")
     np.testing.assert_array_equal(y, x)
+
+
+@pytest.mark.parametrize("rate, mode", [(0.5, "infer"), (0.0, "train"), (0.0, "infer")])
+def test_dropout_that_drops_nothing_caches_nothing_and_passes_gradient_through(rate, mode):
+    layer = Dropout("do", rate)
+    x = np.random.default_rng(24).normal(size=(4, 6))
+    y, cache = layer.forward(x, mode, np.random.default_rng(0))
+    assert y is x
+    assert cache is None
+    d_out = np.random.default_rng(25).normal(size=(4, 6))
+    d_x, grads = layer.backward(d_out, cache)
+    assert d_x is d_out
+    assert grads == {}
 
 
 def test_dropout_train_needs_rng():
@@ -421,18 +436,16 @@ def test_conv_backward_without_input_grad_keeps_parameter_grad_bits(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("activation, at_logits", [("relu", False), (None, False),
-                                                   ("softmax", True)])
-def test_dense_backward_without_input_grad_keeps_parameter_grad_bits(dtype, activation,
-                                                                     at_logits):
+@pytest.mark.parametrize("activation", ["relu", None, "softmax"])
+def test_dense_backward_without_input_grad_keeps_parameter_grad_bits(dtype, activation):
     rng = np.random.default_rng(31)
     layer = Dense("d", rng.normal(size=(6, 5)).astype(dtype), rng.normal(size=5).astype(dtype),
                   activation=activation)
     y, cache = layer.forward(rng.normal(size=(4, 6)).astype(dtype), "train")
     d_out = rng.normal(size=y.shape).astype(dtype)
-    d_x, full = layer.backward(d_out, cache, at_logits=at_logits)
+    d_x, full = layer.backward(d_out, cache)
     assert d_x.shape == (4, 6)
-    skipped, grads = layer.backward(d_out, cache, at_logits=at_logits, input_grad=False)
+    skipped, grads = layer.backward(d_out, cache, input_grad=False)
     assert skipped is None
     assert_same_grad_bits(grads, full)
 

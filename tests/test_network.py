@@ -226,8 +226,8 @@ def _full_backward_reference(net, trace, targets):
     """Every layer's full backward, the first layer's input gradient
     included, with no version or shape checks."""
     d = (trace.probs - np.asarray(targets, dtype=net.dtype)) / trace.probs.shape[0]
-    d, grads = net.layers[-1].backward(d, trace.caches[-1], at_logits=True)
-    for layer, cache in zip(net.layers[-2::-1], trace.caches[-2::-1]):
+    grads = {}
+    for layer, cache in zip(net.layers[::-1], trace.caches[::-1]):
         d, layer_grads = layer.backward(d, cache)
         grads.update(layer_grads)
     return d, grads
