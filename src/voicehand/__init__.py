@@ -25,10 +25,10 @@ from .dataset import DatasetIndex, Entry, index_dataset, subsample_unknown
 from .errors import VoicehandError
 from .features import (
     FEATURE_SHAPE,
+    HANN_WINDOW,
     HOP,
     SEGMENT_LENGTH,
     compute_features,
-    hann_window,
     log_compress,
     stft_power,
 )

@@ -19,6 +19,7 @@ import contextlib
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -29,21 +30,18 @@ from .errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
+from .gestures import CLASS_NAMES
 from .network import ARCH, INPUT_SHAPE, Network
 
 MAGIC = b"KWS1"
 FORMAT_VERSION = 1
 
 
-def _arch_json():
-    return [dict(layer) for layer in ARCH]
-
-
 def _header(network: Network, metadata) -> dict:
     return {
-        "arch": _arch_json(),
+        "arch": list(ARCH),
         "input_shape": list(INPUT_SHAPE),
-        "class_names": list(network.class_names),
+        "class_names": list(CLASS_NAMES),
         "dtype": "float32",
         "tensors": [{"name": name, "shape": list(a.shape)} for name, a in network.state_tensors()],
         "metadata": dict(metadata or {}),
@@ -75,16 +73,15 @@ def save_checkpoint(path, network: Network, metadata=None) -> None:
         raise
 
 
-def read_header(path) -> dict:
-    """Parse and validate everything before the payload."""
-    with open(path, "rb") as f:
-        prefix = f.read(12)
-        if len(prefix) < 12 or prefix[:4] != MAGIC:
-            raise BadMagic(f"{path}: not a weight checkpoint")
-        version, header_len = struct.unpack("<II", prefix[4:12])
-        if version != FORMAT_VERSION:
-            raise UnsupportedVersion(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-        raw = f.read(header_len)
+def _parse(data: bytes, path) -> tuple:
+    """(header, payload bytes) of a checkpoint file's contents; validates
+    everything before the payload."""
+    if len(data) < 12 or data[:4] != MAGIC:
+        raise BadMagic(f"{path}: not a weight checkpoint")
+    version, header_len = struct.unpack("<II", data[4:12])
+    if version != FORMAT_VERSION:
+        raise UnsupportedVersion(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+    raw = data[12 : 12 + header_len]
     if len(raw) < header_len:
         raise TruncatedPayload(f"{path}: header cut short")
     try:
@@ -93,33 +90,29 @@ def read_header(path) -> dict:
         raise SpecMismatch(f"{path}: unreadable header: {e}") from e
     if not isinstance(header, dict):
         raise SpecMismatch(f"{path}: header is not a JSON object")
-    return header
+    return header, data[12 + header_len :]
+
+
+def read_header(path) -> dict:
+    """Parse and validate everything before the payload."""
+    return _parse(Path(path).read_bytes(), path)[0]
 
 
 def load_checkpoint(path, network: Network) -> dict:
     """Load weights into `network` in place; returns header metadata.
 
-    The file's architecture descriptor, class names, and tensor list must
-    match the network exactly, and every payload value must be finite;
-    on any failure the network is left as it was.
+    The file is read once. Its architecture descriptor, input shape,
+    class names and tensor list must match what `save_checkpoint` writes
+    for this network, and every payload value must be finite; on any
+    failure the network is left as it was.
     """
-    header = read_header(path)
-    if header.get("arch") != _arch_json():
-        raise SpecMismatch(f"{path}: architecture differs from this network")
-    if header.get("input_shape") != list(INPUT_SHAPE):
-        raise SpecMismatch(f"{path}: input shape differs from this network")
-    if header.get("class_names") != list(network.class_names):
-        raise SpecMismatch(f"{path}: class names differ from this network")
+    header, payload = _parse(Path(path).read_bytes(), path)
+    expected = _header(network, None)
+    for key in ("arch", "input_shape", "class_names", "tensors"):
+        if header.get(key) != expected[key]:
+            raise SpecMismatch(f"{path}: {key} differs from this network")
     tensors = network.state_tensors()
-    expected = [{"name": name, "shape": list(a.shape)} for name, a in tensors]
-    if header.get("tensors") != expected:
-        raise SpecMismatch(f"{path}: tensor list differs from this network")
-
     count = sum(a.size for _, a in tensors)
-    with open(path, "rb") as f:
-        _, header_len = struct.unpack("<II", f.read(12)[4:12])
-        f.seek(12 + header_len)
-        payload = f.read()
     if len(payload) != 4 * count:
         raise TruncatedPayload(f"{path}: payload holds {len(payload) // 4} floats, expected {count}")
     values = np.frombuffer(payload, dtype="<f4")
@@ -127,8 +120,7 @@ def load_checkpoint(path, network: Network) -> dict:
         raise NonFinitePayload(f"{path}: payload holds a NaN or infinite value")
     offset = 0
     for _, a in tensors:
-        chunk = values[offset : offset + a.size].reshape(a.shape)
-        a[...] = chunk.astype(a.dtype)
+        a[...] = values[offset : offset + a.size].reshape(a.shape)
         offset += a.size
     network.mark_mutated()
     return header.get("metadata", {})

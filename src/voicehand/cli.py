@@ -73,14 +73,22 @@ def _pick(flag_value, config, key, default):
     return default
 
 
-def _pick_as(convert, flag_value, config, key, default):
-    """`_pick`, converted; a config value of the wrong type, or a number
-    the type cannot hold (1e400 as an int), is a usage error."""
+JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _pick_as(kind, flag_value, config, key, default):
+    """`_pick` for an int, float or bool setting. The value must be a JSON
+    value of that kind: an integer for int, an integer or a fraction for
+    float, true or false for bool; a bool is no number. Anything else,
+    or an integer no float holds, is a usage error."""
     value = _pick(flag_value, config, key, default)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise UsageError(f"config key {key}: expected {JSON_KINDS[kind]}, got {value!r}")
     try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"config key {key}: expected {convert.__name__}, got {value!r}")
+        return kind(value)
+    except OverflowError:
+        raise UsageError(f"config key {key}: {value!r} does not fit a float")
 
 
 def _pick_path(flag_value, config, key, default):
@@ -129,7 +137,7 @@ def cmd_train(args) -> int:
     out_dir = _pick_path(args.out, config_file, "out", None)
     if out_dir is None:
         raise UsageError("train needs --out")
-    seed = _pick_as(int, args.seed, config_file, "seed", 17)
+    seed = _pick_as(int, args.seed, config_file, "seed", TrainConfig.seed)
     try:
         config = TrainConfig(
             epochs=_pick_as(int, args.epochs, config_file, "epochs", TrainConfig.epochs),
@@ -137,7 +145,7 @@ def cmd_train(args) -> int:
                                 TrainConfig.batch_size),
             learning_rate=_pick_as(float, args.lr, config_file, "lr", TrainConfig.learning_rate),
             seed=seed,
-            augment=not bool(_pick(args.no_augment, config_file, "no-augment", False)),
+            augment=not _pick_as(bool, args.no_augment, config_file, "no-augment", False),
         )
     except ValueError as e:
         raise UsageError(f"train: {e}")
@@ -218,7 +226,7 @@ def cmd_stream(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    if args.checkpoint:
+    if args.checkpoint is not None:
         network, _ = _network_from_checkpoint(args.checkpoint)
     else:
         network = build_network()

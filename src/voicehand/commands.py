@@ -23,6 +23,7 @@ from .errors import ChannelOutOfRange, CodeOutOfRange, DuplicateChannel
 from .features import FEATURE_SHAPE, HOP, log_compress, stft_power
 from .gestures import (DEFAULT_CHANNEL_MAP, FINGERS, FingerTrajectory, GestureClass, GestureTable,
                        lookup_trajectory)
+from .network import run_layers
 from .wav import SAMPLE_RATE, AudioClip
 
 CMD_WRITE_UPDATE = 0x30
@@ -157,12 +158,6 @@ def window_offsets(total_samples: int, config: StreamConfig = StreamConfig()):
     return range(0, total_samples - WINDOW_SAMPLES + 1, config.hop_samples)
 
 
-def _run(layers, h):
-    for layer in layers:
-        h, _ = layer.forward(h)
-    return h
-
-
 def window_probs(network, samples: np.ndarray, config: StreamConfig = StreamConfig()):
     """(offset, class probabilities) for every window `stream_decode`
     evaluates.
@@ -202,12 +197,12 @@ def window_probs(network, samples: np.ndarray, config: StreamConfig = StreamConf
         values = to_window_values(samples[first : offset + WINDOW_SAMPLES], pad=False)
         fresh = log_compress(stft_power(values)).astype(network.dtype)[None, :, :, None]
         if frames is None:
-            frames, columns = fresh, _run(prefix, fresh)
+            frames, columns = fresh, run_layers(prefix, fresh)
         else:
             frames = np.concatenate([frames[:, :, new_frames:], fresh], axis=2)
-            columns = np.concatenate([columns[:, :, k:], _run(prefix, frames[:, :, reads])],
-                                     axis=2)
-        yield offset, _run(suffix, columns)[0]
+            columns = np.concatenate(
+                [columns[:, :, k:], run_layers(prefix, frames[:, :, reads])], axis=2)
+        yield offset, run_layers(suffix, columns)[0]
 
 
 def stream_decode(network, samples: np.ndarray, table: GestureTable = None,

@@ -20,12 +20,8 @@ HOP = 224  # samples between frame starts
 EPSILON = 1e-10  # keeps silent bins off -inf
 
 
-def hann_window(n: int) -> np.ndarray:
-    # periodic form, w[i] = 0.5 - 0.5 cos(2 pi i / n)
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-HANN_WINDOW = hann_window(SEGMENT_LENGTH)
+# periodic Hann window, w[i] = 0.5 - 0.5 cos(2 pi i / n) for n = SEGMENT_LENGTH
+HANN_WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(SEGMENT_LENGTH) / SEGMENT_LENGTH)
 
 FEATURE_SHAPE = (SEGMENT_LENGTH // 2 + 1, (WINDOW_SAMPLES - SEGMENT_LENGTH) // HOP + 1)  # (129, 71)
 

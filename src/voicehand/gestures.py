@@ -97,7 +97,8 @@ class GestureTable:
         if set(self.channel_map) != set(FINGERS):
             raise ValueError(f"channels must map exactly {FINGERS}")
         channels = list(self.channel_map.values())
-        if (any(not isinstance(c, int) or not 0 <= c <= 7 for c in channels)
+        if (any(isinstance(c, bool) or not isinstance(c, int) or not 0 <= c <= 7
+                for c in channels)
                 or len(set(channels)) < len(channels)):
             raise ValueError(f"channels must be distinct ints in 0..7, got {channels}")
 
@@ -109,14 +110,15 @@ class GestureTable:
     @classmethod
     def load(cls, path) -> "GestureTable":
         """A table from its JSON file; malformed contents raise ValueError,
-        KeyError, TypeError or OverflowError."""
+        KeyError, TypeError or OverflowError. Trajectories and max_fraction
+        are JSON lists of numbers and channels JSON integers; nothing is
+        coerced, and a bool is not a number."""
         raw = _json_object(json.loads(Path(path).read_text()), "document")
         gestures = _json_object(raw["gestures"], "gestures")
         channels = _json_object(raw.get("channels", DEFAULT_CHANNEL_MAP), "channels")
-        rows = {w: FingerTrajectory(*map(float, v)) for w, v in gestures.items()}
-        max_fraction = tuple(float(f) for f in raw.get("max_fraction", (1.0,) * 8))
-        channel_map = {k: int(v) for k, v in channels.items()}
-        return cls(rows=rows, max_fraction=max_fraction, channel_map=channel_map)
+        rows = {w: FingerTrajectory(*_numbers(v, f"gesture {w}")) for w, v in gestures.items()}
+        max_fraction = _numbers(raw.get("max_fraction", [1.0] * 8), "max_fraction")
+        return cls(rows=rows, max_fraction=max_fraction, channel_map=dict(channels))
 
     def save(self, path) -> None:
         doc = {
@@ -131,6 +133,14 @@ def _json_object(value, what) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
+
+
+def _numbers(value, what) -> tuple:
+    """A JSON list of numbers (no bools) as a tuple of floats."""
+    if not isinstance(value, list) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
+        raise ValueError(f"{what} must be a JSON list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 def lookup_trajectory(table: GestureTable, gesture: GestureClass):

@@ -16,8 +16,10 @@ from contextlib import contextmanager
 import numpy as np
 
 from .layers import BatchNorm, Dropout
-from .network import INPUT_SHAPE, Network
-from .train import cross_entropy
+from .network import INPUT_SHAPE, Network, run_layers
+from .train import N_CLASSES, cross_entropy
+
+DENOM_FLOOR = 1e-5  # smallest denominator of a relative error; see gradient_check
 
 
 @contextmanager
@@ -70,7 +72,7 @@ def tie_margins(network: Network, x) -> dict:
 
 
 def draw_checkable_batch(network: Network, rng, thresholds: dict, batch_size: int = 2,
-                         n_classes: int = 9, max_tries: int = 500):
+                         max_tries: int = 500):
     """Random (x, labels, margins) whose tie margins clear `thresholds`.
 
     Draws standard-normal inputs until every layer named in `thresholds`
@@ -81,24 +83,16 @@ def draw_checkable_batch(network: Network, rng, thresholds: dict, batch_size: in
         x = rng.normal(size=(batch_size,) + INPUT_SHAPE)
         margins = tie_margins(network, x)
         if all(margins[name] >= m for name, m in thresholds.items()):
-            labels = rng.integers(n_classes, size=batch_size)
+            labels = rng.integers(N_CLASSES, size=batch_size)
             return x, labels, margins
     raise RuntimeError(f"no tie-free batch within {max_tries} draws; thresholds {thresholds}")
 
 
-def _forward_suffix(network: Network, start: int, h_act):
-    """Forward through layers[start:]; call inside `_probe_mode`."""
-    for layer in network.layers[start:]:
-        h_act, _ = layer.forward(h_act, "train")
-    return h_act
-
-
-def gradient_check(network: Network, x, targets_onehot, h: float = 1e-5, names=None,
-                   denom_floor: float = 1e-5) -> dict:
+def gradient_check(network: Network, x, targets_onehot, h: float = 1e-5, names=None) -> dict:
     """Max relative error per parameter tensor, {name: error}.
 
     Relative error is |analytic - numeric| / max(|analytic|, |numeric|,
-    denom_floor). The floor turns near-zero pairs into an absolute
+    DENOM_FLOOR). The floor turns near-zero pairs into an absolute
     comparison: float64 central differences at h=1e-5 only resolve
     absolute differences down to about 1e-10 (machine epsilon times the
     loss over 2h), so without a floor, roundoff on tiny gradients
@@ -134,20 +128,21 @@ def gradient_check(network: Network, x, targets_onehot, h: float = 1e-5, names=N
         worst = {}
         for name, theta in params.items():
             start = owner[name.split(".")[0]]
+            suffix = network.layers[start:]
             grad = np.asarray(analytic[name]).reshape(-1)
             tensor_worst = 0.0
             for i in range(theta.size):
                 orig = float(theta.flat[i])
                 theta.flat[i] = orig + h  # .flat writes through views too
-                probs = _forward_suffix(network, start, layer_inputs[start])
+                probs = run_layers(suffix, layer_inputs[start], "train")
                 loss_plus = cross_entropy(probs, labels)
                 theta.flat[i] = orig - h
-                probs = _forward_suffix(network, start, layer_inputs[start])
+                probs = run_layers(suffix, layer_inputs[start], "train")
                 loss_minus = cross_entropy(probs, labels)
                 theta.flat[i] = orig
                 numeric = (loss_plus - loss_minus) / (2.0 * h)
                 a = float(grad[i])
-                err = abs(a - numeric) / max(abs(a), abs(numeric), denom_floor)
+                err = abs(a - numeric) / max(abs(a), abs(numeric), DENOM_FLOOR)
                 tensor_worst = max(tensor_worst, err)
             worst[name] = tensor_worst
     return worst

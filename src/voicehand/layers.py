@@ -47,12 +47,13 @@ class Conv2D:
     forward pass lowers input patches to a (rows, fh·fw·cin) matrix, one
     row per output position and columns in the weight layout's order, so
     the contraction is `cols @ W` and the weight gradient `cols.T @ dz`.
-    Train mode lowers the whole batch and keeps the patch matrix in the
-    cache for the weight gradient. Infer mode lowers one clip at a time
-    into a single reused one-clip buffer and caches nothing (None). Its
-    per-clip matmuls give the batch-wide matmul's bits, as a gemm sums
-    each output over the same taps in the same order whatever its row
-    count (the one exception is below). As a network's first layer it runs
+    Both modes run one loop of lower, matmul, bias and ReLU: train mode in
+    one step of the whole batch, keeping the patch matrix in the cache for
+    the weight gradient; infer mode in steps of one clip into a single
+    reused one-clip buffer, caching nothing (None). The per-clip matmuls
+    give the batch-wide matmul's bits, as a gemm sums each output over
+    the same taps in the same order whatever its row count (the one
+    exception is below). As a network's first layer it runs
     backward with input_grad=False, which skips col2im: the patch-gradient
     matmul and the scatter loop that sums it back into an input-shaped
     gradient.
@@ -90,21 +91,19 @@ class Conv2D:
         patches = np.lib.stride_tricks.sliding_window_view(x, (fh, fw), axis=(1, 2))
         # (n, oh, ow, cin, fh, fw) -> (n, oh, ow, fh, fw, cin), the weight layout's order
         patches = patches.transpose(0, 1, 2, 4, 5, 3)
+        step = n if mode == "train" else 1
         w = self.weights.reshape(-1, cout)
+        z = np.empty((n, oh, ow, cout), dtype=np.result_type(x, self.weights, self.biases))
+        cols, slots = self._patch_matrix(step, oh, ow, x.dtype)
+        for i in range(0, n, max(step, 1)):  # an empty batch runs no step
+            slots[...] = patches[i : i + step]
+            zi = z[i : i + step].reshape(-1, cout)
+            np.matmul(cols, w, out=zi)
+            zi += self.biases
+            np.maximum(zi, 0.0, out=zi)
         if mode != "train":
-            z = np.empty((n, oh * ow, cout), dtype=np.result_type(x, self.weights, self.biases))
-            cols, slots = self._patch_matrix(1, oh, ow, x.dtype)
-            for i in range(n):
-                slots[...] = patches[i : i + 1]
-                np.matmul(cols, w, out=z[i])
-                z[i] += self.biases
-            return np.maximum(z, 0.0, out=z).reshape(n, oh, ow, cout), None
-        cols, slots = self._patch_matrix(n, oh, ow, x.dtype)
-        slots[...] = patches
-        z = (cols @ w).reshape(n, oh, ow, cout)
-        z += self.biases
-        active = z > 0.0
-        return np.maximum(z, 0.0, out=z), (cols, x.shape, active)
+            return z, None
+        return z, (cols, x.shape, z > 0.0)
 
     def _patch_matrix(self, n, oh, ow, dtype):
         """An empty (n·oh·ow, fh·fw·cin) patch matrix and a view of its

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ShapeMismatch, StaleTrace
 from .features import FEATURE_SHAPE
-from .gestures import CLASS_NAMES
 from .layers import BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool2D
 from .rng import substream
 
@@ -61,10 +60,9 @@ class Network:
     can refuse to run against mutated weights.
     """
 
-    def __init__(self, layers, dtype=np.float32, class_names=CLASS_NAMES):
+    def __init__(self, layers, dtype=np.float32):
         self.layers = list(layers)
         self.dtype = np.dtype(dtype)
-        self.class_names = tuple(class_names)
         self.version = 0
 
     def __getitem__(self, name):
@@ -123,12 +121,11 @@ class Network:
         return out
 
 
-def build_network(seed=17, dtype=np.float32, dropout_rate=None) -> Network:
+def build_network(seed=17, dtype=np.float32) -> Network:
     """Fresh network built from `ARCH`: Glorot-uniform weights drawn in
     layer order, zero biases, identity batch-norm (gamma 1, beta 0, moving
     mean 0, moving var 1). Each layer's fan-in is the previous layer's
-    output shape: its channels for a conv, its length for a dense.
-    `dropout_rate` overrides the rate `ARCH` states."""
+    output shape: its channels for a conv, its length for a dense."""
     rng = substream(seed, "init")
     dtype = np.dtype(dtype)
 
@@ -137,7 +134,7 @@ def build_network(seed=17, dtype=np.float32, dropout_rate=None) -> Network:
         return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
     layers = []
-    for spec, in_shape in zip(ARCH, [INPUT_SHAPE] + output_shapes(INPUT_SHAPE, ARCH)):
+    for spec, in_shape in zip(ARCH, [INPUT_SHAPE] + output_shapes()):
         kind, name = spec["type"], spec["name"]
         if kind == "conv":
             fh, fw = spec["filter_size"]
@@ -155,8 +152,15 @@ def build_network(seed=17, dtype=np.float32, dropout_rate=None) -> Network:
             w = glorot((n_in, n_out), n_in, n_out)
             layers.append(Dense(name, w, np.zeros(n_out, dtype=dtype), activation=spec["activation"]))
         elif kind == "dropout":
-            layers.append(Dropout(name, spec["rate"] if dropout_rate is None else dropout_rate))
+            layers.append(Dropout(name, spec["rate"]))
     return Network(layers, dtype=dtype)
+
+
+def run_layers(layers, h, mode="infer"):
+    """Output of `layers` run in order on `h`, keeping no cache."""
+    for layer in layers:
+        h, _ = layer.forward(h, mode)
+    return h
 
 
 def count_params(network: Network):
@@ -168,11 +172,11 @@ def count_params(network: Network):
     return trainable, total - trainable, per_layer
 
 
-def output_shapes(input_shape=INPUT_SHAPE, arch=ARCH):
-    """Static per-layer output shapes, derived from the architecture alone."""
-    h, w, c = input_shape
+def output_shapes():
+    """Static per-layer output shapes, derived from `ARCH` alone."""
+    h, w, c = INPUT_SHAPE
     shapes = []
-    for spec in arch:
+    for spec in ARCH:
         kind = spec["type"]
         if kind == "conv":
             fh, fw = spec["filter_size"]

@@ -152,15 +152,14 @@ def evaluate(network: Network, entries, store: ClipStore = None, batch_size: int
     return accuracy, confusion
 
 
-def fit(network: Network, index: DatasetIndex, config: TrainConfig, out_dir,
-        log=print) -> list:
+def fit(network: Network, index: DatasetIndex, config: TrainConfig, out_dir) -> list:
     """Full training run.
 
     Writes out_dir/training_log.csv (one row per epoch), best.ckpt (highest
-    validation accuracy, earliest epoch on ties) and final.ckpt. Returns the
-    per-epoch reports. Validation accuracy is NaN when the val split is
-    empty, in which case best.ckpt duplicates final.ckpt and its metadata
-    stores val_acc as null.
+    validation accuracy, earliest epoch on ties) and final.ckpt, and prints
+    one line per epoch. Returns the per-epoch reports. Validation accuracy
+    is NaN when the val split is empty, in which case best.ckpt duplicates
+    final.ckpt and its metadata stores val_acc as null.
     """
     train_entries = index.split_entries("train")
     if not train_entries:
@@ -206,9 +205,8 @@ def fit(network: Network, index: DatasetIndex, config: TrainConfig, out_dir,
                 best_acc = val_acc
                 save_checkpoint(out_dir / "best.ckpt", network,
                                 metadata={"epoch": epoch, "val_acc": val_acc})
-            if log is not None:
-                log(f"epoch {epoch}: loss {train_loss:.4f} acc {train_acc:.4f} "
-                    f"val {val_acc:.4f} ({seconds:.1f}s)")
+            print(f"epoch {epoch}: loss {train_loss:.4f} acc {train_acc:.4f} "
+                  f"val {val_acc:.4f} ({seconds:.1f}s)")
     final_acc = reports[-1].val_acc
     final_meta = {"epoch": config.epochs - 1,
                   "val_acc": None if np.isnan(final_acc) else final_acc}

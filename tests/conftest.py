@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from voicehand.checkpoint import load_checkpoint
 from voicehand.dataset import index_dataset
@@ -23,6 +24,15 @@ from voicehand.rng import substream
 from voicehand.synth import tone_samples, write_tone_dataset
 from voicehand.train import TrainConfig, fit
 from voicehand.wav import write_wav
+
+
+# any JSON value, nested at most a few levels
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
 
 
 def wav_bytes(samples, rate=16000, bits=16, channels=1, fmt_code=1,
@@ -132,7 +142,7 @@ def trained(tmp_path_factory) -> TrainedModel:
     network = build_network(seed=11)
     out_dir = tmp_path_factory.mktemp("run4")
     config = TrainConfig(epochs=25, batch_size=64, seed=11, augment=True)
-    fit(network, index, config, out_dir, log=None)
+    fit(network, index, config, out_dir)
     best = out_dir / "best.ckpt"
     meta = load_checkpoint(best, network)
     assert meta["val_acc"] >= 0.95, f"fixture training underperformed: {meta}"

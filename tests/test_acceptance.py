@@ -146,7 +146,8 @@ def test_c05_overfit_small_batch(tmp_path):
     config = TrainConfig(epochs=200, batch_size=8, seed=17, augment=False)
 
     def run():
-        net = build_network(seed=17, dropout_rate=0.0)
+        net = build_network(seed=17)
+        net["dropout"].rate = 0.0
         store = ClipStore()
         optimizer = Adam(learning_rate=config.learning_rate)
         history = []
@@ -203,7 +204,7 @@ def test_c07_real_corpus_accuracy(tmp_path):
     root = os.environ[REAL_DATA_ENV]
     index = subsample_unknown(index_dataset(root), seed=17)
     net = build_network(seed=17)
-    fit(net, index, TrainConfig(seed=17), tmp_path / "run", log=None)
+    fit(net, index, TrainConfig(seed=17), tmp_path / "run")
     load_checkpoint(tmp_path / "run" / "best.ckpt", net)
     accuracy, _ = evaluate(net, index.split_entries("test"))
     assert 0.85 <= accuracy <= 0.93
@@ -259,7 +260,7 @@ def test_c10_checkpoint_round_trip_and_reproducible_training(tmp_path):
     for run_name in ("a", "b"):
         net = build_network(seed=17)
         out = tmp_path / run_name
-        fit(net, index, TrainConfig(epochs=3, batch_size=8, seed=17), out, log=None)
+        fit(net, index, TrainConfig(epochs=3, batch_size=8, seed=17), out)
         runs.append((net, out))
 
     (net_a, out_a), (net_b, out_b) = runs

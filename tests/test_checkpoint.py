@@ -3,10 +3,14 @@ header-before-payload validation."""
 
 import errno
 import json
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voicehand import checkpoint
 from voicehand.checkpoint import (
@@ -18,12 +22,15 @@ from voicehand.checkpoint import (
 )
 from voicehand.errors import (
     BadMagic,
+    CheckpointError,
     NonFinitePayload,
     SpecMismatch,
     TruncatedPayload,
     UnsupportedVersion,
 )
 from voicehand.network import build_network
+
+from conftest import JSON_VALUES
 
 CANONICAL_TENSORS = [
     "conv1.weights", "conv1.biases",
@@ -269,3 +276,98 @@ def test_metadata_must_be_strict_json(tmp_path):
     with pytest.raises(ValueError):
         save_checkpoint(path, build_network(seed=17), metadata={"val_acc": float("nan")})
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_checkpoint_loads_from_a_pipe_read_once(tmp_path):
+    # a named pipe (or a shell's <(...)) can be read once: a second open
+    # would see another writer's bytes, here an empty file
+    source = _scrambled_net()
+    save_checkpoint(tmp_path / "m.ckpt", source)
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+
+    def feed():
+        for data in ((tmp_path / "m.ckpt").read_bytes(), b""):
+            try:
+                with open(pipe, "wb") as f:
+                    f.write(data)
+            except BrokenPipeError:
+                pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    net = build_network(seed=99)
+    try:
+        load_checkpoint(pipe, net)
+    finally:
+        for _ in range(100):  # let a writer still waiting for a reader finish
+            if not writer.is_alive():
+                break
+            os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(0.05)
+    assert not writer.is_alive()
+    for (name, a), (_, b) in zip(source.state_tensors(), net.state_tensors()):
+        assert a.tobytes() == b.tobytes(), name
+
+
+# ---------------------------------------------------------------- fuzzed bytes
+
+
+@pytest.fixture(scope="module")
+def fuzz_target(tmp_path_factory):
+    """(path to overwrite, valid checkpoint bytes, network, its tensor bytes)."""
+    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    save_checkpoint(path, _scrambled_net(), metadata={"epoch": 3})
+    net = build_network(seed=99)
+    return path, path.read_bytes(), net, [a.tobytes() for _, a in net.state_tensors()]
+
+
+@st.composite
+def mutated(draw, data):
+    """`data`, a valid checkpoint, with one kind of damage: bytes
+    overwritten (half of them in the prefix and header), the end cut,
+    bytes appended, one header field (or a field of one arch or tensor
+    entry) rewritten, or one payload float replaced (NaN and infinity
+    among the values)."""
+    end = 12 + struct.unpack_from("<I", data, 8)[0]
+    kind = draw(st.sampled_from(["flip", "truncate", "append", "field", "float"]))
+    if kind == "flip":
+        out = bytearray(data)
+        at = st.integers(0, end - 1) | st.integers(0, len(data) - 1)
+        for i, value in draw(st.lists(st.tuples(at, st.integers(0, 255)), min_size=1, max_size=4)):
+            out[i] = value
+        return bytes(out)
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "append":
+        return data + draw(st.binary(min_size=1, max_size=16))
+    if kind == "float":
+        at = end + 4 * draw(st.integers(0, (len(data) - end) // 4 - 1))
+        return data[:at] + struct.pack("<f", draw(st.floats(width=32))) + data[at + 4 :]
+    header = json.loads(data[12:end])
+    target = header
+    key = draw(st.sampled_from(sorted(header)))
+    if key in ("arch", "tensors") and draw(st.booleans()):
+        target = draw(st.sampled_from(header[key]))
+        key = draw(st.sampled_from(sorted(target)))
+    target[key] = draw(JSON_VALUES)
+    raw = json.dumps(header).encode()
+    return MAGIC + struct.pack("<II", FORMAT_VERSION, len(raw)) + raw + data[end:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(draw=st.data())
+def test_damaged_checkpoint_is_an_error_or_finite_weights(fuzz_target, draw):
+    path, valid, net, before = fuzz_target
+    for (_, a), b in zip(net.state_tensors(), before):
+        a[...] = np.frombuffer(b, dtype=a.dtype).reshape(a.shape)
+    path.write_bytes(draw.draw(mutated(valid)))
+    try:
+        load_checkpoint(path, net)
+    except CheckpointError:
+        for (name, a), b in zip(net.state_tensors(), before):
+            assert a.tobytes() == b, name
+        return
+    for name, a in net.state_tensors():
+        assert np.isfinite(a).all(), name

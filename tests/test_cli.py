@@ -17,7 +17,7 @@ from voicehand.network import build_network
 from voicehand.synth import tone_samples
 from voicehand.wav import write_wav
 
-from conftest import read_csv_rows, tone_wav, write_word_tree
+from conftest import JSON_VALUES, read_csv_rows, tone_wav, write_word_tree
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +70,14 @@ def test_inspect_requires_a_source(capsys):
 def test_inspect_missing_checkpoint_is_checkpoint_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "inspect", "--checkpoint", str(tmp_path / "nope.ckpt"))
     assert code == 3
+
+
+def test_inspect_empty_checkpoint_path_is_checkpoint_error(capsys):
+    # an empty path names no file; it does not fall back to a fresh network
+    code, out, err = run_cli(capsys, "inspect", "--checkpoint", "")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
 
 
 def test_inspect_corrupt_checkpoint_is_checkpoint_error(tmp_path, capsys):
@@ -197,8 +205,19 @@ CHANNELS = TABLE["channels"]
     {**TABLE, "channels": {**CHANNELS, "index": 0}},
     {**TABLE, "channels": {**CHANNELS, "ring": -1}},
     {**TABLE, "channels": {**CHANNELS, "ring": "x"}},
+    # values a float() or int() would coerce into a plausible table
+    {**TABLE, "gestures": {**TABLE["gestures"], "one": "10111"}},
+    {**TABLE, "gestures": {**TABLE["gestures"], "one": ["1", "0", "1", "1", "1"]}},
+    {**TABLE, "gestures": {**TABLE["gestures"], "one": [True, False, True, True, True]}},
+    {**TABLE, "max_fraction": "11111111"},
+    {**TABLE, "max_fraction": [True] * 8},
+    {**TABLE, "channels": {**CHANNELS, "index": 1.9}},
+    {**TABLE, "channels": {**CHANNELS, "little": "5"}},
+    {**TABLE, "channels": {**CHANNELS, "index": True}},
 ], ids=["document-list", "gestures-list", "channels-list", "channels-missing-finger",
-        "channel-9", "channel-duplicate", "channel-negative", "channel-string"])
+        "channel-9", "channel-duplicate", "channel-negative", "channel-string",
+        "row-string", "row-numeric-strings", "row-bools", "max-fraction-string",
+        "max-fraction-bools", "channel-fraction", "channel-numeric-string", "channel-bool"])
 def test_recognize_malformed_gesture_table_is_data_error(fresh, tmp_path, capsys, doc):
     table_path = tmp_path / "table.json"
     table_path.write_text(json.dumps(doc))
@@ -554,6 +573,16 @@ def test_console_entry_point_runs():
     ([], {"epochs": float("inf")}, "epochs"),  # as 1e400 decodes: no int holds it
     ([], {"seed": float("inf")}, "seed"),
     ([], {"batch-size": float("inf")}, "batch-size"),
+    # config values are type-checked, not coerced
+    ([], {"no-augment": "false"}, "no-augment"),
+    ([], {"no-augment": 1}, "no-augment"),
+    ([], {"epochs": 5.7}, "epochs"),
+    ([], {"epochs": "3"}, "epochs"),
+    ([], {"epochs": True}, "epochs"),
+    ([], {"seed": True}, "seed"),
+    ([], {"batch-size": 2.9}, "batch-size"),
+    ([], {"lr": "0.01"}, "lr"),
+    ([], {"lr": True}, "lr"),
 ])
 def test_train_bad_size_or_path_is_usage_error(tmp_path, capsys, flags, config, named):
     conf = tmp_path / "conf.json"
@@ -575,7 +604,7 @@ def test_train_learning_rate_not_finite_and_positive_is_usage_error(tmp_path, ca
     settings = {"data-dir": str(tmp_path / "data"), "out": str(tmp_path / "run")}
     flags = [f"--lr={value}"] if via == "flag" else []
     if via == "config":
-        settings["lr"] = value
+        settings["lr"] = float(value)  # a JSON number: NaN, Infinity, 0.0, -1.0
     conf.write_text(json.dumps(settings))
     code, out, err = run_cli(capsys, "train", "--config", str(conf), *flags)
     assert code == 1
@@ -587,12 +616,6 @@ def test_train_learning_rate_not_finite_and_positive_is_usage_error(tmp_path, ca
 # ---------------------------------------------------------------- fuzzed JSON inputs
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
-                                                                max_size=3),
-    max_leaves=6,
-)
 # half the fields get an edge number: a negative seed, an infinity no int holds, an int
 # no float holds
 FIELD_VALUES = st.sampled_from([-1, 0, float("inf"), float("-inf"), 10**400]) | JSON_VALUES

@@ -15,11 +15,11 @@ from voicehand.audio import to_window_values
 from voicehand.errors import BadWindowLength
 from voicehand.features import (
     FEATURE_SHAPE,
+    HANN_WINDOW,
     HOP,
     SEGMENT_LENGTH,
     compute_features,
     export_csv,
-    hann_window,
     log_compress,
     stft_power,
 )
@@ -70,9 +70,9 @@ def test_geometry_129_bins_71_frames():
 
 def test_hann_is_periodic_variant():
     # periodic Hann of length n == symmetric Hann of length n+1 minus its last point
-    np.testing.assert_allclose(hann_window(256), np.hanning(257)[:-1], atol=1e-15)
-    assert hann_window(256)[0] == 0.0
-    assert hann_window(256)[128] == 1.0
+    np.testing.assert_allclose(HANN_WINDOW, np.hanning(257)[:-1], atol=1e-15)
+    assert HANN_WINDOW[0] == 0.0
+    assert HANN_WINDOW[128] == 1.0
 
 
 def test_silent_clip_is_uniform_log_floor():

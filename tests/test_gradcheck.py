@@ -27,7 +27,6 @@ def _dense_only(seed=5):
             Dense("d2", rng.normal(size=(8, 3)) * 0.6, np.zeros(3), activation="softmax"),
         ],
         dtype=np.float64,
-        class_names=("a", "b", "c"),
     )
 
 

@@ -366,7 +366,7 @@ def test_dropout_infer_is_identity():
     np.testing.assert_array_equal(y, x)
 
 
-def test_dropout_rate_zero_is_identity_without_rng():
+def test_dropout_at_rate_zero_is_identity_without_rng():
     x = np.ones((3, 3))
     y, _ = Dropout("do", 0.0).forward(x, "train")
     np.testing.assert_array_equal(y, x)
@@ -390,7 +390,7 @@ def test_dropout_train_needs_rng():
         Dropout("do", 0.5).forward(np.ones((2, 2)), "train")
 
 
-def test_dropout_rate_validation():
+def test_dropout_validates_its_rate():
     with pytest.raises(ValueError):
         Dropout("do", 1.0)
     with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ import pytest
 import voicehand.network
 
 from voicehand.errors import ShapeMismatch, StaleTrace
-from voicehand.gestures import CLASS_NAMES
 from voicehand.network import (
     INPUT_SHAPE,
     REFERENCE_LAYER_PARAMS,
@@ -133,6 +132,10 @@ def test_build_network_follows_arch(monkeypatch):
     assert net["dense2"].weights.shape == (32, 9)
     probs, _ = net.forward(np.zeros((1,) + INPUT_SHAPE))
     assert probs.shape == (1, 9)
+    rows = layer_table(net)
+    assert rows[4] == (4, "conv", "16 @ 7x5", "relu", "11x9x16", 4496)
+    assert rows[7] == (7, "flatten", "-", "-", "96", 0)
+    assert rows[8] == (8, "dense", "32 units", "relu", "32", 3104)
 
 
 def test_init_statistics_follow_fan_based_limits():
@@ -191,14 +194,12 @@ def test_constant_logit_shift_leaves_probabilities_unchanged():
 
 def test_class_names_and_lookup():
     net = build_network(seed=17)
-    assert net.class_names == CLASS_NAMES
     assert net["dense1"].weights.shape == (192, 64)
     with pytest.raises(KeyError):
         net["nonexistent"]
 
 
 def test_dropout_layer_carries_requested_rate():
-    assert build_network(seed=17, dropout_rate=0.0)["dropout"].rate == 0.0
     assert build_network(seed=17)["dropout"].rate == 0.5
 
 
@@ -213,7 +214,6 @@ def test_custom_network_composes():
             Dense("d2", rng.normal(size=(5, 3)), np.zeros(3), activation="softmax"),
         ],
         dtype=np.float64,
-        class_names=("a", "b", "c"),
     )
     x = rng.normal(size=(4, 6))
     probs, trace = net.forward(x, mode="train")
@@ -260,7 +260,6 @@ def test_dense_only_backward_skipping_input_grad_keeps_every_gradient_bit():
             Dense("d2", rng.normal(size=(5, 3)), np.zeros(3), activation="softmax"),
         ],
         dtype=np.float64,
-        class_names=("a", "b", "c"),
     )
     _assert_backward_matches_reference(net, rng.normal(size=(4, 6)), [0, 1, 2, 0])
 

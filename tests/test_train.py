@@ -80,14 +80,16 @@ def tiny_tree(tmp_path):
 
 
 def _small_net():
-    return build_network(seed=7, dropout_rate=0.0)
+    net = build_network(seed=7)
+    net["dropout"].rate = 0.0
+    return net
 
 
 def test_fit_writes_log_and_checkpoints(tmp_path, tiny_tree):
     index = index_dataset(tiny_tree)
     out = tmp_path / "run"
     config = TrainConfig(epochs=2, batch_size=4, seed=7)
-    reports = fit(_small_net(), index, config, out, log=None)
+    reports = fit(_small_net(), index, config, out)
     assert len(reports) == 2
     assert (out / "best.ckpt").is_file()
     assert (out / "final.ckpt").is_file()
@@ -106,7 +108,7 @@ def test_fit_is_deterministic_per_seed(tmp_path, tiny_tree):
     outs = []
     for run in ("a", "b"):
         net = _small_net()
-        fit(net, index, TrainConfig(epochs=2, batch_size=4, seed=7), tmp_path / run, log=None)
+        fit(net, index, TrainConfig(epochs=2, batch_size=4, seed=7), tmp_path / run)
         outs.append((net, read_csv_rows(tmp_path / run / "training_log.csv")))
     (net_a, rows_a), (net_b, rows_b) = outs
     for ra, rb in zip(rows_a, rows_b):
@@ -120,7 +122,7 @@ def test_fit_differs_across_seeds(tmp_path, tiny_tree):
     rows = []
     for seed, run in ((7, "a"), (8, "b")):
         fit(_small_net(), index, TrainConfig(epochs=1, batch_size=4, seed=seed),
-            tmp_path / run, log=None)
+            tmp_path / run)
         rows.append(read_csv_rows(tmp_path / run / "training_log.csv")[1])
     assert rows[0][1:4] != rows[1][1:4]
 
@@ -138,8 +140,7 @@ def test_fit_without_val_split_writes_strict_json_headers(tmp_path, tiny_tree):
         noise_files=index.noise_files,
     )
     out = tmp_path / "run"
-    reports = fit(_small_net(), no_val, TrainConfig(epochs=1, batch_size=4, seed=7), out,
-                  log=None)
+    reports = fit(_small_net(), no_val, TrainConfig(epochs=1, batch_size=4, seed=7), out)
     assert np.isnan(reports[-1].val_acc)
 
     def refuse(constant):
@@ -159,17 +160,17 @@ def test_fit_empty_training_split_raises(tmp_path, tiny_tree):
         noise_files=index.noise_files,
     )
     with pytest.raises(EmptyTrainingSplit):
-        fit(_small_net(), only_val, TrainConfig(epochs=1), tmp_path / "x", log=None)
+        fit(_small_net(), only_val, TrainConfig(epochs=1), tmp_path / "x")
 
 
 def test_fit_augment_without_noise_raises(tmp_path, tiny_tree):
     index = index_dataset(tiny_tree)
     bare = type(index)(entries=index.entries, noise_files=())
     with pytest.raises(EmptyNoisePool):
-        fit(_small_net(), bare, TrainConfig(epochs=1, augment=True), tmp_path / "x", log=None)
+        fit(_small_net(), bare, TrainConfig(epochs=1, augment=True), tmp_path / "x")
     # augmentation off: same tree trains fine
     fit(_small_net(), bare, TrainConfig(epochs=1, batch_size=4, augment=False),
-        tmp_path / "y", log=None)
+        tmp_path / "y")
 
 
 def test_evaluate_confusion_accounting(tiny_tree):
@@ -194,7 +195,7 @@ def test_training_reduces_loss_on_tiny_problem(tmp_path, tiny_tree):
     index = index_dataset(tiny_tree)
     reports = fit(_small_net(), index,
                   TrainConfig(epochs=8, batch_size=4, seed=7, augment=False),
-                  tmp_path / "run", log=None)
+                  tmp_path / "run")
     assert reports[-1].train_loss < reports[0].train_loss
 
 
