@@ -52,7 +52,18 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# every key a config file may hold, named after its flag, and the kind of
+# JSON value it takes
+CONFIG_KINDS = {"data-dir": str, "out": str, "epochs": int, "batch-size": int, "lr": float,
+                "seed": int, "no-augment": bool}
+EXPECTED = {str: "a path string", int: "an integer", float: "a number", bool: "true or false"}
+
+
 def _load_config(path):
+    """The config file's settings, each checked against its key's kind: a
+    string for str, an integer for int, an integer or a fraction for
+    float, true or false for bool; a bool is no number. An unknown key, a
+    value of another kind or an integer no float holds is a usage error."""
     if path is None:
         return {}
     try:
@@ -61,46 +72,31 @@ def _load_config(path):
         raise UsageError(f"config file {path}: {e}")
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
-    return raw
+    config = {}
+    for key, value in raw.items():
+        if key not in CONFIG_KINDS:
+            raise UsageError(f"config file {path}: unknown key {key!r}")
+        kind = CONFIG_KINDS[key]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise UsageError(f"config key {key}: expected {EXPECTED[kind]}, got {value!r}")
+        try:
+            config[key] = kind(value)
+        except OverflowError:
+            raise UsageError(f"config key {key}: {value!r} does not fit a float")
+    return config
 
 
-def _pick(flag_value, config, key, default):
-    """Precedence: flag > config file > default."""
+def _setting(args, config, key, default):
+    """Precedence: the key's flag > config file > default."""
+    flag_value = getattr(args, key.replace("-", "_"))
     if flag_value is not None:
         return flag_value
-    if key in config:
-        return config[key]
-    return default
+    return config.get(key, default)
 
 
-JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
-
-
-def _pick_as(kind, flag_value, config, key, default):
-    """`_pick` for an int, float or bool setting. The value must be a JSON
-    value of that kind: an integer for int, an integer or a fraction for
-    float, true or false for bool; a bool is no number. Anything else,
-    or an integer no float holds, is a usage error."""
-    value = _pick(flag_value, config, key, default)
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise UsageError(f"config key {key}: expected {JSON_KINDS[kind]}, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError:
-        raise UsageError(f"config key {key}: {value!r} does not fit a float")
-
-
-def _pick_path(flag_value, config, key, default):
-    """`_pick` for a path; a config value that is not a string is a usage error."""
-    value = _pick(flag_value, config, key, default)
-    if value is not None and not isinstance(value, str):
-        raise UsageError(f"config key {key}: expected a path string, got {value!r}")
-    return value
-
-
-def _resolve_data_dir(flag_value, config):
-    value = _pick_path(flag_value, config, "data-dir", os.environ.get(DATA_DIR_ENV))
+def _data_dir(args, config):
+    value = _setting(args, config, "data-dir", os.environ.get(DATA_DIR_ENV))
     if value is None:
         raise UsageError(f"no data directory: pass --data-dir or set {DATA_DIR_ENV}")
     return Path(value)
@@ -133,24 +129,22 @@ def _load_table(path):
 
 def cmd_train(args) -> int:
     config_file = _load_config(args.config)
-    data_dir = _resolve_data_dir(args.data_dir, config_file)
-    out_dir = _pick_path(args.out, config_file, "out", None)
+    data_dir = _data_dir(args, config_file)
+    out_dir = _setting(args, config_file, "out", None)
     if out_dir is None:
         raise UsageError("train needs --out")
-    seed = _pick_as(int, args.seed, config_file, "seed", TrainConfig.seed)
     try:
         config = TrainConfig(
-            epochs=_pick_as(int, args.epochs, config_file, "epochs", TrainConfig.epochs),
-            batch_size=_pick_as(int, args.batch_size, config_file, "batch-size",
-                                TrainConfig.batch_size),
-            learning_rate=_pick_as(float, args.lr, config_file, "lr", TrainConfig.learning_rate),
-            seed=seed,
-            augment=not _pick_as(bool, args.no_augment, config_file, "no-augment", False),
+            epochs=_setting(args, config_file, "epochs", TrainConfig.epochs),
+            batch_size=_setting(args, config_file, "batch-size", TrainConfig.batch_size),
+            learning_rate=_setting(args, config_file, "lr", TrainConfig.learning_rate),
+            seed=_setting(args, config_file, "seed", TrainConfig.seed),
+            augment=not _setting(args, config_file, "no-augment", False),
         )
     except ValueError as e:
         raise UsageError(f"train: {e}")
-    index = subsample_unknown(index_dataset(data_dir), seed)
-    network = build_network(seed=seed)
+    index = subsample_unknown(index_dataset(data_dir), config.seed)
+    network = build_network(seed=config.seed)
     reports = fit(network, index, config, out_dir)
     best = max((r.val_acc for r in reports if not np.isnan(r.val_acc)), default=float("nan"))
     print(f"done: {len(reports)} epochs, best val acc {best:.4f}, "
@@ -167,12 +161,13 @@ def _print_confusion(confusion):
 
 
 def cmd_eval(args) -> int:
-    if args.seed < 0:
-        raise UsageError(f"eval: seed must be at least 0, got {args.seed}")
     config_file = _load_config(args.config)
-    data_dir = _resolve_data_dir(args.data_dir, config_file)
+    seed = _setting(args, config_file, "seed", TrainConfig.seed)
+    if seed < 0:
+        raise UsageError(f"eval: seed must be at least 0, got {seed}")
+    data_dir = _data_dir(args, config_file)
     network, _ = _network_from_checkpoint(args.checkpoint)
-    index = subsample_unknown(index_dataset(data_dir), args.seed)
+    index = subsample_unknown(index_dataset(data_dir), seed)
     entries = index.split_entries(args.split)
     accuracy, confusion = evaluate(network, entries)
     if args.json:
@@ -278,8 +273,8 @@ def build_parser() -> Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data-dir", help=f"dataset root (default: ${DATA_DIR_ENV})")
     p.add_argument("--split", choices=("val", "test"), required=True)
-    p.add_argument("--seed", type=int, default=17,
-                   help="seed for the unknown-class subsample")
+    p.add_argument("--seed", type=int,
+                   help=f"seed for the unknown-class subsample (default {TrainConfig.seed})")
     p.add_argument("--json", action="store_true")
     p.add_argument("--config", help="JSON config file; flags override it")
     p.set_defaults(func=cmd_eval)

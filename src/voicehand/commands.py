@@ -164,10 +164,12 @@ def window_probs(network, samples: np.ndarray, config: StreamConfig = StreamConf
 
     A hop of k whole pool1 columns, k below a window's 13, is aligned:
     a pool1 column is STFT hop x pool1 width x conv1 stride (1) samples,
-    1120 or 70 ms. There each window after the first computes only its
-    5k new STFT frames and runs conv1, pool1 and bn1 over the frames its
-    k new pool1 columns read; the rest of its bn1 output is the previous
-    window's, shifted by k columns. The frames are the same bits as a
+    1120 or 70 ms. There the state between windows is the last 6 (conv1
+    width - 1) log frames and the 13 bn1 columns. Each window after the
+    first computes only its 5k new STFT frames, runs conv1, pool1 and bn1
+    over the 6 kept frames followed by them, which are the frames its k
+    new pool1 columns read, and takes the rest of its bn1 output from the
+    previous window, shifted by k columns. The frames are the same bits as a
     full window's, but conv1's matmul over fewer rows can round
     differently, so the probabilities agree with `classify_window` within
     1e-5 rather than bit for bit. Conv1's patch layout adds to this at
@@ -188,20 +190,18 @@ def window_probs(network, samples: np.ndarray, config: StreamConfig = StreamConf
             window = to_window_values(samples[offset : offset + WINDOW_SAMPLES], pad=False)
             yield offset, classify_window(network, window)
         return
-    new_frames = pw * k
-    reads = slice(pw * (window_columns - k), pw * window_columns + fw - 1)
-    start = (n_frames - new_frames) * HOP  # first sample of the new frames
-    frames = columns = None
+    start = (n_frames - pw * k) * HOP  # first sample of a later window's new frames
+    tail = None  # the last fw - 1 frames conv1 read, which it reads again
     for offset in offsets:
-        first = offset if frames is None else offset + start
+        first = offset if tail is None else offset + start
         values = to_window_values(samples[first : offset + WINDOW_SAMPLES], pad=False)
-        fresh = log_compress(stft_power(values)).astype(network.dtype)[None, :, :, None]
-        if frames is None:
-            frames, columns = fresh, run_layers(prefix, fresh)
+        frames = log_compress(stft_power(values)).astype(network.dtype)[None, :, :, None]
+        if tail is None:
+            columns = run_layers(prefix, frames)
         else:
-            frames = np.concatenate([frames[:, :, new_frames:], fresh], axis=2)
-            columns = np.concatenate(
-                [columns[:, :, k:], run_layers(prefix, frames[:, :, reads])], axis=2)
+            frames = np.concatenate([tail, frames], axis=2)
+            columns = np.concatenate([columns[:, :, k:], run_layers(prefix, frames)], axis=2)
+        tail = frames[:, :, 1 - fw :]
         yield offset, run_layers(suffix, columns)[0]
 
 

@@ -1,9 +1,10 @@
 """Finite-difference verification of the analytic gradients.
 
 Central differences on the mean cross-entropy loss, parameter by
-parameter. Dropout is forced off for the duration and batch-norm moving
-statistics are restored when the check ends (train-mode batch-norm never
-reads them), so each loss evaluation sees identical network state. Build the network under test with float64; at
+parameter. The check runs the network without its dropout layers and
+restores batch-norm moving statistics when it ends (train-mode
+batch-norm never reads them), so each loss evaluation sees identical
+network state. Build the network under test with float64; at
 float32 the h=1e-5 probes drown in rounding noise.
 
 Finite differences are only trustworthy when no probe crosses a ReLU or
@@ -24,22 +25,17 @@ DENOM_FLOOR = 1e-5  # smallest denominator of a relative error; see gradient_che
 
 @contextmanager
 def _probe_mode(network: Network):
-    """Dropout off for the duration, batch-norm moving statistics put back
-    on exit. Inside, every layer runs as `layer.forward(h, "train")`:
-    batch-norm standardizes with batch statistics, which the moving
-    statistics never feed, so every loss evaluation sees the same network.
+    """The network without its dropout layers, as a Network sharing every
+    other layer; batch-norm moving statistics are put back on exit.
+    Inside, every layer runs as `layer.forward(h, "train")`: batch-norm
+    standardizes with batch statistics, which the moving statistics never
+    feed, so every loss evaluation sees the same network.
     """
-    dropouts = [l for l in network.layers if isinstance(l, Dropout)]
     norms = [l for l in network.layers if isinstance(l, BatchNorm)]
-    rates = [l.rate for l in dropouts]
     stats = [(l.moving_mean.copy(), l.moving_var.copy()) for l in norms]
     try:
-        for layer in dropouts:
-            layer.rate = 0.0
-        yield
+        yield Network([l for l in network.layers if not isinstance(l, Dropout)], network.dtype)
     finally:
-        for layer, rate in zip(dropouts, rates):
-            layer.rate = rate
         for layer, (mean, var) in zip(norms, stats):
             layer.moving_mean[...] = mean
             layer.moving_var[...] = var
@@ -57,8 +53,8 @@ def tie_margins(network: Network, x) -> dict:
     """
     h_act = np.asarray(x, dtype=network.dtype)
     margins = {}
-    with _probe_mode(network):
-        for layer in network.layers:
+    with _probe_mode(network) as probe:
+        for layer in probe.layers:
             if hasattr(layer, "tiles"):
                 top2 = np.partition(layer.tiles(h_act), -2, axis=3)[:, :, :, -2:, :]
                 margins[layer.name] = float((top2[..., 1, :] - top2[..., 0, :]).min())
@@ -108,19 +104,19 @@ def gradient_check(network: Network, x, targets_onehot, h: float = 1e-5, names=N
     targets = np.asarray(targets_onehot, dtype=network.dtype)
     labels = np.argmax(targets, axis=1)
 
-    with _probe_mode(network):
-        _, trace = network.forward(x, mode="train")
-        analytic = network.backward(trace, targets)
+    with _probe_mode(network) as probe:
+        _, trace = probe.forward(x, mode="train")
+        analytic = probe.backward(trace, targets)
 
         # unperturbed input to every layer, for suffix-only probe forwards
         layer_inputs = []
         h_act = x
-        for layer in network.layers:
+        for layer in probe.layers:
             layer_inputs.append(h_act)
             h_act, _ = layer.forward(h_act, "train")
-        owner = {layer.name: k for k, layer in enumerate(network.layers)}
+        owner = {layer.name: k for k, layer in enumerate(probe.layers)}
 
-        params = network.parameters()
+        params = probe.parameters()
         if names is not None:
             wanted = set(names)
             params = {k: v for k, v in params.items() if k in wanted}
@@ -128,7 +124,7 @@ def gradient_check(network: Network, x, targets_onehot, h: float = 1e-5, names=N
         worst = {}
         for name, theta in params.items():
             start = owner[name.split(".")[0]]
-            suffix = network.layers[start:]
+            suffix = probe.layers[start:]
             grad = np.asarray(analytic[name]).reshape(-1)
             tensor_worst = 0.0
             for i in range(theta.size):

@@ -2,16 +2,10 @@
 
 Activations are tensors in channels-last layout: (batch, height, width,
 channels) for the 2D stages, (batch, features) after flattening. Every
-layer is called as forward(x, mode="infer", rng=None), where mode is
-"train" or "infer" and rng drives dropout, and returns (output, cache);
-backward takes the upstream gradient plus that cache and returns (input
-gradient, parameter grads). The two parameter layers, Conv2D and Dense,
-also take backward(..., input_grad=True): with input_grad=False they
-return (None, parameter grads) and skip the input gradient's work, for
-the first layer of a network, whose input is data and has no gradient
-to pass on. The parameter grads are the same bits either way.
-Parameter dtype is float32 in production and float64 in verification
-builds; a layer never changes the dtype it was built with.
+layer subclasses `Layer`, which states the calling convention all six
+share and names each layer's stored tensors. Parameter dtype is float32
+in production and float64 in verification builds; a layer never changes
+the dtype it was built with.
 
 Only train mode builds what backward reads. In infer mode Conv2D,
 MaxPool2D, BatchNorm and Dropout return None as their cache: Conv2D
@@ -40,7 +34,43 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-class Conv2D:
+class Layer:
+    """A named layer and the tensors it stores.
+
+    Every layer is called as forward(x, mode="infer", rng=None), where
+    mode is "train" or "infer" and rng drives dropout, and returns
+    (output, cache); backward takes the upstream gradient plus that cache
+    and returns (input gradient, parameter grads). The two parameter
+    layers, Conv2D and Dense, also take backward(..., input_grad=True):
+    with input_grad=False they return (None, parameter grads) and skip
+    the input gradient's work, for the first layer of a network, whose
+    input is data and has no gradient to pass on. The parameter grads are
+    the same bits either way.
+
+    PARAMS and STATE name the attributes holding the trainable tensors
+    and the other stored ones (batch-norm's moving statistics). Each
+    tensor is keyed "<layer name>.<attribute>", trainable ones first, in
+    the order the class lists them: the checkpoint payload's order.
+    """
+
+    PARAMS = ()
+    STATE = ()
+
+    def __init__(self, name):
+        self.name = name
+
+    def trainable(self):
+        return [(f"{self.name}.{a}", getattr(self, a)) for a in self.PARAMS]
+
+    def state(self):
+        return [(f"{self.name}.{a}", getattr(self, a)) for a in self.PARAMS + self.STATE]
+
+    def grads(self, *values):
+        """Parameter gradients, given in PARAMS order, keyed like `trainable`."""
+        return {f"{self.name}.{a}": v for a, v in zip(self.PARAMS, values)}
+
+
+class Conv2D(Layer):
     """Valid (no padding) cross-correlation, stride 1, ReLU activation.
 
     Weights are (filter_h, filter_w, in_channels, out_channels). The
@@ -73,10 +103,11 @@ class Conv2D:
     names the one call where that shows).
     """
 
+    PARAMS = ("weights", "biases")
     activation = "relu"
 
     def __init__(self, name, weights, biases):
-        self.name = name
+        super().__init__(name)
         self.weights = weights
         self.biases = biases
 
@@ -126,7 +157,7 @@ class Conv2D:
         dz = np.where(active, d_out, 0.0).reshape(-1, cout)
         d_w = (cols.T @ dz).reshape(self.weights.shape)
         d_b = dz.sum(axis=0)
-        grads = {f"{self.name}.weights": d_w, f"{self.name}.biases": d_b}
+        grads = self.grads(d_w, d_b)
         if not input_grad:
             return None, grads
         d_cols = (dz @ self.weights.reshape(-1, cout).T).reshape(n, oh, ow, fh, fw, cin)
@@ -136,14 +167,8 @@ class Conv2D:
                 d_x[:, a : a + oh, b : b + ow, :] += d_cols[:, :, :, a, b, :]
         return d_x, grads
 
-    def trainable(self):
-        return [(f"{self.name}.weights", self.weights), (f"{self.name}.biases", self.biases)]
 
-    def state(self):
-        return self.trainable()
-
-
-class MaxPool2D:
+class MaxPool2D(Layer):
     """Non-overlapping max pooling; trailing rows/columns that do not fill
     a window are dropped. In train mode the cache records the winning
     position per window so backward routes gradient to exactly one input
@@ -156,7 +181,7 @@ class MaxPool2D:
     is argmax's first-max rule: both modes give the same bits."""
 
     def __init__(self, name, pool_h, pool_w):
-        self.name = name
+        super().__init__(name)
         self.pool_h = pool_h
         self.pool_w = pool_w
 
@@ -201,14 +226,8 @@ class MaxPool2D:
         d_x[:, : oh * ph, : ow * pw, :] = d_crop.reshape(n, oh * ph, ow * pw, c)
         return d_x, {}
 
-    def trainable(self):
-        return []
 
-    def state(self):
-        return []
-
-
-class BatchNorm:
+class BatchNorm(Layer):
     """Per-channel batch normalization.
 
     Train mode standardizes with the batch mean and biased variance over
@@ -216,8 +235,11 @@ class BatchNorm:
     infer mode uses the moving statistics and never mutates state.
     """
 
+    PARAMS = ("gamma", "beta")
+    STATE = ("moving_mean", "moving_var")
+
     def __init__(self, name, channels, epsilon=1e-3, momentum=0.99, dtype=np.float32):
-        self.name = name
+        super().__init__(name)
         self.epsilon = epsilon
         self.momentum = momentum
         self.gamma = np.ones(channels, dtype=dtype)
@@ -255,36 +277,18 @@ class BatchNorm:
             - d_xhat.mean(axis=axes)
             - xhat * (d_xhat * xhat).mean(axis=axes)
         )
-        return d_x, {f"{self.name}.gamma": d_gamma, f"{self.name}.beta": d_beta}
-
-    def trainable(self):
-        return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
-
-    def state(self):
-        return self.trainable() + [
-            (f"{self.name}.moving_mean", self.moving_mean),
-            (f"{self.name}.moving_var", self.moving_var),
-        ]
+        return d_x, self.grads(d_gamma, d_beta)
 
 
-class Flatten:
-    def __init__(self, name):
-        self.name = name
-
+class Flatten(Layer):
     def forward(self, x, mode="infer", rng=None):
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, d_out, cache):
         return d_out.reshape(cache), {}
 
-    def trainable(self):
-        return []
 
-    def state(self):
-        return []
-
-
-class Dense:
+class Dense(Layer):
     """Fully connected layer: out = activation(x @ W + b).
 
     activation is "relu", "softmax", or None. Backward takes the
@@ -294,8 +298,10 @@ class Dense:
     takes the gradient at the logits.
     """
 
+    PARAMS = ("weights", "biases")
+
     def __init__(self, name, weights, biases, activation=None):
-        self.name = name
+        super().__init__(name)
         self.weights = weights
         self.biases = biases
         self.activation = activation
@@ -317,19 +323,13 @@ class Dense:
         dz = d_out if active is None else np.where(active, d_out, 0.0)
         d_w = x.T @ dz
         d_b = dz.sum(axis=0)
-        grads = {f"{self.name}.weights": d_w, f"{self.name}.biases": d_b}
+        grads = self.grads(d_w, d_b)
         if not input_grad:
             return None, grads
         return dz @ self.weights.T, grads
 
-    def trainable(self):
-        return [(f"{self.name}.weights", self.weights), (f"{self.name}.biases", self.biases)]
 
-    def state(self):
-        return self.trainable()
-
-
-class Dropout:
+class Dropout(Layer):
     """Inverted dropout: training zeroes each element with probability
     `rate` and scales survivors by 1/(1-rate); inference is the identity.
     The cache is the keep mask, or None where nothing was dropped (infer
@@ -338,7 +338,7 @@ class Dropout:
     def __init__(self, name, rate=0.5):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate {rate} outside [0, 1)")
-        self.name = name
+        super().__init__(name)
         self.rate = rate
 
     def forward(self, x, mode="infer", rng=None):
@@ -354,9 +354,3 @@ class Dropout:
         if mask is None:
             return d_out, {}
         return np.where(mask, d_out / (1.0 - self.rate), 0.0), {}
-
-    def trainable(self):
-        return []
-
-    def state(self):
-        return []

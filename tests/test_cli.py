@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: exit codes, JSON output, config precedence."""
 
+import argparse
+import io
 import json
 import struct
 import subprocess
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import voicehand.cli as cli
 from voicehand.checkpoint import save_checkpoint
-from voicehand.cli import DATA_DIR_ENV, main
+from voicehand.cli import CONFIG_KINDS, DATA_DIR_ENV, build_parser, main
 from voicehand.gestures import GestureTable
 from voicehand.network import build_network
 from voicehand.synth import tone_samples
@@ -409,6 +412,42 @@ def test_eval_negative_seed_is_usage_error(fresh, tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("flags, config, seed", [
+    ([], {"seed": 5}, 5),
+    (["--seed", "3"], {"seed": 5}, 3),
+    ([], None, 17),
+    ([], {}, 17),
+])
+def test_eval_resolves_the_seed_as_train_does(fresh, tmp_path, capsys, monkeypatch,
+                                              flags, config, seed):
+    data = write_word_tree(tmp_path / "data", ("zero", "hello", "bye"))
+    argv = ["eval", "--checkpoint", str(fresh / "fresh.ckpt"), "--data-dir", str(data),
+            "--split", "val", *flags]
+    if config is not None:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        argv += ["--config", str(conf)]
+    seeds = []
+    subsample = cli.subsample_unknown
+    monkeypatch.setattr(cli, "subsample_unknown",
+                        lambda index, seed: seeds.append(seed) or subsample(index, seed))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert seeds == [seed]
+
+
+def test_eval_negative_config_seed_is_usage_error(fresh, tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"seed": -1}))
+    code, out, err = run_cli(capsys, "eval", "--checkpoint", str(fresh / "fresh.ckpt"),
+                             "--data-dir", str(tmp_path / "data"), "--split", "val",
+                             "--config", str(conf))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:") and "seed" in err
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------- train
 
 
@@ -531,6 +570,53 @@ def test_train_wrong_typed_config_value_is_usage_error(tmp_path, capsys, key, va
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, key", [
+    ("train", "batch_size"),
+    ("train", "learning-rate"),
+    ("train", "epoch"),
+    ("eval", "batch_size"),
+])
+def test_unknown_config_key_is_usage_error(fresh, tmp_path, capsys, command, key):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"data-dir": str(tmp_path / "data"),
+                                "out": str(tmp_path / "run"), key: 2}))
+    argv = {"train": ["train"],
+            "eval": ["eval", "--checkpoint", str(fresh / "fresh.ckpt"), "--split", "val"]}
+    code, out, err = run_cli(capsys, *argv[command], "--config", str(conf))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:") and repr(key) in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def _subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _flags(command):
+    return {s for a in _subparsers()[command]._actions for s in a.option_strings}
+
+
+def test_every_config_key_is_a_train_flag():
+    assert {f"--{key}" for key in CONFIG_KINDS} <= _flags("train")
+
+
+def test_every_key_eval_reads_is_an_eval_flag(fresh, tmp_path, capsys, monkeypatch):
+    keys = []
+    setting = cli._setting
+    monkeypatch.setattr(cli, "_setting", lambda args, config, key, default:
+                        keys.append(key) or setting(args, config, key, default))
+    code, _, _ = run_cli(capsys, "eval", "--checkpoint", str(fresh / "fresh.ckpt"),
+                         "--data-dir", str(tmp_path / "missing"), "--split", "val")
+    assert code == 2  # every setting was read before the missing dataset ended the run
+    assert set(keys) == {"data-dir", "seed"}
+    assert {f"--{key}" for key in keys} <= _flags("eval")
+    assert set(keys) <= set(CONFIG_KINDS)
+
+
 # ---------------------------------------------------------------- parser
 
 
@@ -583,6 +669,10 @@ def test_console_entry_point_runs():
     ([], {"batch-size": 2.9}, "batch-size"),
     ([], {"lr": "0.01"}, "lr"),
     ([], {"lr": True}, "lr"),
+    # a malformed value is refused even where a flag overrides it
+    (["--epochs", "1"], {"epochs": "3"}, "config key epochs"),
+    (["--lr", "0.01"], {"lr": "fast"}, "config key lr"),
+    (["--out", "elsewhere"], {"out": 5}, "config key out"),
 ])
 def test_train_bad_size_or_path_is_usage_error(tmp_path, capsys, flags, config, named):
     conf = tmp_path / "conf.json"
@@ -673,3 +763,55 @@ def test_gesture_table_with_any_json_field_ends_in_an_exit_code(fresh, capsys, p
     else:
         assert out == ""
         assert err.startswith("error: gesture table")
+
+
+# ---------------------------------------------------------------- fuzzed argv and stdin
+
+
+OPTIONS = {name: sorted(_flags(name)) for name in sorted(_subparsers())}
+
+
+@st.composite
+def argv_and_stdin(draw, root):
+    """A subcommand, then flags from its own parser, each followed by a value
+    or not; for train and eval a missing data directory comes last, so
+    nothing trains. stdin is arbitrary bytes: short, or one window's worth."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    values = st.one_of(
+        st.integers(-5, 5000).map(str),
+        st.integers(min_value=10**18, max_value=10**400).map(str),
+        st.sampled_from(["nan", "inf", "-inf", "", "0.5", "val", "test", "pcm-stdin",
+                         str(root / "net.ckpt"), str(root / "tone.wav"), str(root / "missing"),
+                         f"wav:{root / 'tone.wav'}", f"wav:{root / 'missing'}"]),
+    )
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(OPTIONS[command]), max_size=6)):
+        argv.append(flag)
+        if draw(st.booleans()):
+            argv.append(draw(values))
+    if command in ("train", "eval"):
+        argv += ["--data-dir", str(root / "missing")]
+    # one window's worth is drawn as a seed: hypothesis draws bytes one at a time
+    window = st.integers(0, 2**32).map(lambda seed: np.random.default_rng(seed).bytes(32000))
+    stdin = draw(st.binary(max_size=64) | window)
+    return argv, stdin
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_and_stdin_end_in_an_exit_code(tmp_path, capsys, monkeypatch, data):
+    # relative paths (a number as --out) land in the test's directory
+    monkeypatch.chdir(tmp_path)
+    # `features --out` may have overwritten the inputs in an earlier example
+    save_checkpoint(tmp_path / "net.ckpt", build_network())
+    tone_wav(tmp_path / "tone.wav", 2000.0)
+    argv, stdin = data.draw(argv_and_stdin(tmp_path))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        assert e.code == 0 and ("-h" in argv or "--help" in argv)
+    else:
+        assert code in (0, 1, 2, 3)
+    capsys.readouterr()

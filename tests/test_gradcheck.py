@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from voicehand.gradcheck import draw_checkable_batch, gradient_check, tie_margins
-from voicehand.layers import Dense
+from voicehand.layers import Dense, Dropout
 from voicehand.network import INPUT_SHAPE, Network, build_network
 from voicehand.rng import substream
 from voicehand.train import one_hot
@@ -103,6 +103,26 @@ def test_check_restores_dropout_and_moving_stats():
     assert drop.rate == 0.5
     np.testing.assert_array_equal(bn1.moving_mean, mean_before)
     np.testing.assert_array_equal(bn1.moving_var, var_before)
+
+
+class FixedRateDropout(Dropout):
+    """A dropout layer whose rate, once set, refuses to change."""
+
+    def __setattr__(self, name, value):
+        if name == "rate" and "rate" in vars(self):
+            raise AttributeError("dropout rate is fixed")
+        super().__setattr__(name, value)
+
+
+def test_check_never_writes_the_dropout_rate():
+    net = build_network(seed=3, dtype=np.float64)
+    net.layers[net.layers.index(net["dropout"])] = FixedRateDropout("dropout", 0.5)
+    rng = substream(12, "gradcheck")
+    x = rng.normal(size=(2,) + INPUT_SHAPE)
+    assert set(tie_margins(net, x)) == {"conv1", "pool1", "conv2", "pool2", "dense1"}
+    report = gradient_check(net, x, one_hot(rng.integers(9, size=2)), names=["dense2.biases"])
+    assert report["dense2.biases"] < 1e-4
+    assert net["dropout"].rate == 0.5
 
 
 def test_names_subset_limits_work():
