@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    NegativeVariance,
     NonFinitePayload,
     SpecMismatch,
     TruncatedPayload,
@@ -37,13 +38,14 @@ MAGIC = b"KWS1"
 FORMAT_VERSION = 1
 
 
-def _header(network: Network, metadata) -> dict:
+def _header(tensors, metadata) -> dict:
+    """The header of a file holding `tensors`, a network's `state_tensors()`."""
     return {
         "arch": list(ARCH),
         "input_shape": list(INPUT_SHAPE),
         "class_names": list(CLASS_NAMES),
         "dtype": "float32",
-        "tensors": [{"name": name, "shape": list(a.shape)} for name, a in network.state_tensors()],
+        "tensors": [{"name": name, "shape": list(a.shape)} for name, a in tensors],
         "metadata": dict(metadata or {}),
     }
 
@@ -52,11 +54,10 @@ def save_checkpoint(path, network: Network, metadata=None) -> None:
     """Write atomically: the bytes go to a temporary file next to `path`,
     which then replaces it, so a write that fails part-way leaves an
     earlier file at `path` as it was. Metadata must be strict JSON."""
-    header = json.dumps(_header(network, metadata), sort_keys=True,
+    tensors = network.state_tensors()
+    header = json.dumps(_header(tensors, metadata), sort_keys=True,
                         allow_nan=False).encode("utf-8")
-    payload = b"".join(
-        np.ascontiguousarray(a, dtype="<f4").tobytes() for _, a in network.state_tensors()
-    )
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for _, a in tensors)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -103,24 +104,30 @@ def load_checkpoint(path, network: Network) -> dict:
 
     The file is read once. Its architecture descriptor, input shape,
     class names and tensor list must match what `save_checkpoint` writes
-    for this network, and every payload value must be finite; on any
-    failure the network is left as it was.
+    for this network, every payload value must be finite and every
+    batch-norm moving variance at least 0, as training's running average
+    always is; on any failure the network is left as it was.
     """
     header, payload = _parse(Path(path).read_bytes(), path)
-    expected = _header(network, None)
+    tensors = network.state_tensors()
+    expected = _header(tensors, None)
     for key in ("arch", "input_shape", "class_names", "tensors"):
         if header.get(key) != expected[key]:
             raise SpecMismatch(f"{path}: {key} differs from this network")
-    tensors = network.state_tensors()
     count = sum(a.size for _, a in tensors)
     if len(payload) != 4 * count:
         raise TruncatedPayload(f"{path}: payload holds {len(payload) // 4} floats, expected {count}")
     values = np.frombuffer(payload, dtype="<f4")
     if not np.isfinite(values).all():
         raise NonFinitePayload(f"{path}: payload holds a NaN or infinite value")
-    offset = 0
-    for _, a in tensors:
-        a[...] = values[offset : offset + a.size].reshape(a.shape)
+    pieces, offset = [], 0
+    for name, a in tensors:
+        piece = values[offset : offset + a.size]
+        if name.endswith(".moving_var") and (piece < 0).any():
+            raise NegativeVariance(f"{path}: {name} holds a value below 0")
+        pieces.append(piece)
         offset += a.size
+    for (_, a), piece in zip(tensors, pieces):
+        a[...] = piece.reshape(a.shape)
     network.mark_mutated()
     return header.get("metadata", {})

@@ -9,6 +9,7 @@ mismatched weight file).
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .commands import StreamConfig, accepts, recognize_clip, stream_decode
 from .dataset import index_dataset, subsample_unknown
-from .errors import CheckpointError, VoicehandError
+from .errors import CheckpointError, UsageError, VoicehandError
 from .features import compute_features, export_csv
 from .gestures import CLASS_NAMES, GestureTable
 from .network import (
@@ -34,14 +35,12 @@ from .wav import read_wav
 DATA_DIR_ENV = "VOICEHAND_DATA_DIR"
 
 
-class UsageError(Exception):
-    pass
-
-
-class CliError(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
+def _is_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 class Parser(argparse.ArgumentParser):
@@ -50,6 +49,19 @@ class Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        """argparse reads a token such as -inf or -1e3 after a flag as
+        another flag; joined to the flag as --flag=-inf, it is the flag's
+        value and reaches the flag's own check."""
+        joined = []
+        for token in sys.argv[1:] if args is None else args:
+            if (joined and re.fullmatch(r"--[^=]+", joined[-1]) and token.startswith("-")
+                    and _is_float(token)):
+                joined[-1] += f"={token}"
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
 
 
 # every key a config file may hold, named after its flag, and the kind of
@@ -107,7 +119,7 @@ def _network_from_checkpoint(path):
     try:
         metadata = load_checkpoint(path, network)
     except OSError as e:
-        raise CliError(3, f"cannot read checkpoint {path}: {e}")
+        raise CheckpointError(f"cannot read checkpoint {path}: {e}")
     return network, metadata
 
 
@@ -115,7 +127,7 @@ def _read_clip(path):
     try:
         return read_wav(path)
     except OSError as e:
-        raise CliError(2, f"cannot read {path}: {e}")
+        raise VoicehandError(f"cannot read {path}: {e}")
 
 
 def _load_table(path):
@@ -124,7 +136,7 @@ def _load_table(path):
     try:
         return GestureTable.load(path)
     except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
-        raise CliError(2, f"gesture table {path}: {e}")
+        raise VoicehandError(f"gesture table {path}: {e}")
 
 
 def cmd_train(args) -> int:
@@ -190,7 +202,10 @@ def cmd_recognize(args) -> int:
     network, _ = _network_from_checkpoint(args.checkpoint)
     clip = _read_clip(args.wav)
     table = _load_table(args.gesture_table)
-    decision = recognize_clip(network, clip, table)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        decision = recognize_clip(network, clip, table)
+    if not np.isfinite(decision.prob):  # argmax picks a NaN wherever there is one
+        raise CheckpointError(f"{args.checkpoint}: the network's class probabilities are not finite")
     print(decision.to_json(accepts(decision.prob, decision.gesture, args.threshold)))
     return 0
 
@@ -209,7 +224,7 @@ def cmd_stream(args) -> int:
     if args.input == "pcm-stdin":
         raw = sys.stdin.buffer.read()
         if len(raw) % 2:
-            raise CliError(2, "pcm-stdin: odd byte count for 16-bit samples")
+            raise VoicehandError("pcm-stdin: odd byte count for 16-bit samples")
         samples = np.frombuffer(raw, dtype="<i2")
     elif args.input.startswith("wav:"):
         samples = _read_clip(args.input[4:]).samples
@@ -239,8 +254,7 @@ def cmd_inspect(args) -> int:
     print(f"total: {trainable + non_trainable}")
     expected = (REFERENCE_TRAINABLE, REFERENCE_NON_TRAINABLE, list(REFERENCE_LAYER_PARAMS))
     if (trainable, non_trainable, per_layer) != expected:
-        print("parameter counts deviate from the reference architecture", file=sys.stderr)
-        return 3
+        raise CheckpointError("parameter counts deviate from the reference architecture")
     return 0
 
 
@@ -315,21 +329,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except CheckpointError as e:
-        print(f"checkpoint error: {e}", file=sys.stderr)
-        return 3
-    except VoicehandError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
+    except (VoicehandError, OSError) as e:
+        # an OSError is unreadable data: a dataset, a noise clip, an output path
+        error = e if isinstance(e, VoicehandError) else VoicehandError
+        print(f"{error.label}: {e}", file=sys.stderr)
+        return error.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,19 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package. Each base class declares the
+CLI's exit code for it and the label its stderr line starts with."""
 
 
 class VoicehandError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
+    label = "data error"
+
+
+class UsageError(VoicehandError):
+    """Bad command-line flags or config file."""
+
+    exit_code = 1
+    label = "usage error"
 
 
 # --- WAV decoding ---
@@ -84,6 +95,9 @@ class CodeOutOfRange(VoicehandError):
 class CheckpointError(VoicehandError):
     """Base class for a weight checkpoint that cannot be loaded."""
 
+    exit_code = 3
+    label = "checkpoint error"
+
 
 class BadMagic(CheckpointError):
     """Checkpoint file does not start with the expected magic bytes."""
@@ -103,3 +117,7 @@ class TruncatedPayload(CheckpointError):
 
 class NonFinitePayload(CheckpointError):
     """Checkpoint parameter payload holds a NaN or infinite value."""
+
+
+class NegativeVariance(CheckpointError):
+    """Checkpoint payload holds a batch-norm moving variance below 0."""

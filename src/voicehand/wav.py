@@ -20,11 +20,6 @@ class AudioClip:
     """Decoded PCM audio: int16 samples at 16 kHz, single channel."""
 
     samples: np.ndarray  # int16, shape (n,)
-    sample_rate_hz: int = SAMPLE_RATE
-
-    def __post_init__(self):
-        if self.sample_rate_hz != SAMPLE_RATE:
-            raise UnsupportedSampleRate(f"expected {SAMPLE_RATE} Hz, got {self.sample_rate_hz}")
 
 
 def decode_wav(data: bytes) -> AudioClip:
@@ -58,7 +53,7 @@ def decode_wav(data: bytes) -> AudioClip:
                 raise UnsupportedSampleRate(f"need {SAMPLE_RATE} Hz, got {rate}")
             # a truncated file holds fewer bytes than chunk_size claims
             samples = np.frombuffer(body[: len(body) - len(body) % 2], dtype="<i2")
-            return AudioClip(samples=samples.astype(np.int16), sample_rate_hz=rate)
+            return AudioClip(samples=samples.astype(np.int16))
         # chunks are word-aligned: odd sizes carry a pad byte
         pos += 8 + chunk_size + (chunk_size & 1)
 

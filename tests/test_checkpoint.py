@@ -23,6 +23,7 @@ from voicehand.checkpoint import (
 from voicehand.errors import (
     BadMagic,
     CheckpointError,
+    NegativeVariance,
     NonFinitePayload,
     SpecMismatch,
     TruncatedPayload,
@@ -200,6 +201,21 @@ def test_non_finite_payload_rejected_and_network_untouched(tmp_path, bad, tensor
         np.testing.assert_array_equal(a, b, err_msg=name)
 
 
+@pytest.mark.parametrize("tensor", ["bn1.moving_var", "bn2.moving_var"])
+def test_negative_moving_variance_rejected_and_network_untouched(tmp_path, tensor):
+    # a negative variance loads as NaN outputs; training's running average is never below 0
+    path = tmp_path / "m.ckpt"
+    source = build_network(seed=17)
+    dict(source.state_tensors())[tensor][0] = -1.0
+    save_checkpoint(path, source)
+    net = _scrambled_net()
+    before = [a.copy() for _, a in net.state_tensors()]
+    with pytest.raises(NegativeVariance, match=tensor):
+        load_checkpoint(path, net)
+    for (name, a), b in zip(net.state_tensors(), before):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
 def test_load_does_not_touch_network_on_header_error(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, _scrambled_net())
@@ -359,6 +375,8 @@ def mutated(draw, data):
 @settings(max_examples=200, deadline=None)
 @given(draw=st.data())
 def test_damaged_checkpoint_is_an_error_or_finite_weights(fuzz_target, draw):
+    """A file that loads holds finite values and moving variances of at
+    least 0; any other file is refused and leaves the network as it was."""
     path, valid, net, before = fuzz_target
     for (_, a), b in zip(net.state_tensors(), before):
         a[...] = np.frombuffer(b, dtype=a.dtype).reshape(a.shape)
@@ -371,3 +389,5 @@ def test_damaged_checkpoint_is_an_error_or_finite_weights(fuzz_target, draw):
         return
     for name, a in net.state_tensors():
         assert np.isfinite(a).all(), name
+        if name.endswith(".moving_var"):
+            assert (a >= 0).all(), name

@@ -73,6 +73,7 @@ def test_inspect_requires_a_source(capsys):
 def test_inspect_missing_checkpoint_is_checkpoint_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "inspect", "--checkpoint", str(tmp_path / "nope.ckpt"))
     assert code == 3
+    assert err.startswith("checkpoint error: cannot read checkpoint")
 
 
 def test_inspect_empty_checkpoint_path_is_checkpoint_error(capsys):
@@ -117,7 +118,7 @@ def test_features_missing_wav_is_data_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "features", "--wav", str(tmp_path / "no.wav"),
                            "--out", str(tmp_path / "o.csv"))
     assert code == 2
-    assert "cannot read" in err
+    assert err.startswith("data error: cannot read")
 
 
 def test_features_non_wav_bytes_is_data_error(tmp_path, capsys):
@@ -228,11 +229,12 @@ def test_recognize_malformed_gesture_table_is_data_error(fresh, tmp_path, capsys
                              "--wav", str(fresh / "tone.wav"), "--gesture-table", str(table_path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: gesture table")
+    assert err.startswith("data error: gesture table")
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "5", "1.0001"])
+# -inf, which argparse alone reads as a flag, reaches the range check too
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "5", "1.0001"])
 def test_recognize_bad_threshold_is_usage_error(tmp_path, capsys, value):
     # checked before the checkpoint is read, so a missing one is never reached
     wav = tone_wav(tmp_path / "one.wav", 2000.0)
@@ -240,7 +242,7 @@ def test_recognize_bad_threshold_is_usage_error(tmp_path, capsys, value):
                              "--wav", str(wav), "--threshold", value)
     assert code == 1
     assert out == ""
-    assert err.startswith("usage error:")
+    assert err.startswith("usage error: recognize: threshold must be in [0, 1]")
     assert len(err.splitlines()) == 1
 
 
@@ -272,6 +274,21 @@ def test_recognize_malformed_checkpoint_is_checkpoint_error(tmp_path, capsys, ma
     assert code == 3
     assert out == ""
     assert err.startswith("checkpoint error:")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning would print before the error
+def test_recognize_non_finite_output_is_checkpoint_error(tmp_path, capsys):
+    # finite weights whose matmul overflows: the file loads, the output is NaN
+    net = build_network()
+    net["conv1"].weights[...] = 3e38
+    save_checkpoint(tmp_path / "huge.ckpt", net)
+    wav = tone_wav(tmp_path / "one.wav", 2000.0)
+    code, out, err = run_cli(capsys, "recognize", "--checkpoint", str(tmp_path / "huge.ckpt"),
+                             "--wav", str(wav))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("checkpoint error:") and "not finite" in err
     assert len(err.splitlines()) == 1
 
 
@@ -328,6 +345,7 @@ def test_stream_odd_stdin_bytes_is_data_error(trained):
         input=b"\x00" * 7, capture_output=True, timeout=120,
     )
     assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("data error: pcm-stdin")
 
 
 def test_stream_bad_input_scheme_is_usage_error(trained, capsys):
@@ -345,13 +363,14 @@ def test_stream_deeply_nested_gesture_table_is_data_error(trained, tmp_path, cap
                              "--gesture-table", str(table_path), "--input", f"wav:{wav}")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: gesture table")
+    assert err.startswith("data error: gesture table")
     assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("flag, value", [
     ("--hop-ms", "0"),
     ("--threshold", "1.5"),
+    ("--threshold", "-1e3"),
     ("--refractory-ms", "-1"),
 ])
 def test_stream_bad_policy_flag_is_usage_error(tmp_path, capsys, flag, value):
@@ -360,7 +379,7 @@ def test_stream_bad_policy_flag_is_usage_error(tmp_path, capsys, flag, value):
                              "--input", "pcm-stdin", flag, value)
     assert code == 1
     assert out == ""
-    assert err.startswith("usage error:")
+    assert err.startswith("usage error: stream:") and "must be" in err
     assert len(err.splitlines()) == 1
 
 
@@ -686,13 +705,13 @@ def test_train_bad_size_or_path_is_usage_error(tmp_path, capsys, flags, config, 
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "-1e3"])
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_train_learning_rate_not_finite_and_positive_is_usage_error(tmp_path, capsys,
                                                                    value, via):
     conf = tmp_path / "conf.json"
     settings = {"data-dir": str(tmp_path / "data"), "out": str(tmp_path / "run")}
-    flags = [f"--lr={value}"] if via == "flag" else []
+    flags = ["--lr", value] if via == "flag" else []
     if via == "config":
         settings["lr"] = float(value)  # a JSON number: NaN, Infinity, 0.0, -1.0
     conf.write_text(json.dumps(settings))
@@ -762,13 +781,15 @@ def test_gesture_table_with_any_json_field_ends_in_an_exit_code(fresh, capsys, p
         assert json.loads(out)["class"]
     else:
         assert out == ""
-        assert err.startswith("error: gesture table")
+        assert err.startswith("data error: gesture table")
 
 
 # ---------------------------------------------------------------- fuzzed argv and stdin
 
 
 OPTIONS = {name: sorted(_flags(name)) for name in sorted(_subparsers())}
+# the stderr label README gives each non-zero exit code
+LABELS = {1: "usage error:", 2: "data error:", 3: "checkpoint error:"}
 
 
 @st.composite
@@ -812,6 +833,8 @@ def test_any_argv_and_stdin_end_in_an_exit_code(tmp_path, capsys, monkeypatch, d
         code = main(argv)
     except SystemExit as e:
         assert e.code == 0 and ("-h" in argv or "--help" in argv)
-    else:
-        assert code in (0, 1, 2, 3)
-    capsys.readouterr()
+        code = 0
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.startswith(LABELS[code])
