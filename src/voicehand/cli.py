@@ -3,7 +3,7 @@ features.
 
 Exit codes: 0 success, 1 usage error (bad flags/config), 2 data error
 (unreadable audio or dataset), 3 checkpoint error (missing, corrupt, or
-mismatched weight file).
+mismatched weight file, or weights whose outputs are not finite).
 """
 
 import argparse
@@ -21,14 +21,7 @@ from .dataset import index_dataset, subsample_unknown
 from .errors import CheckpointError, UsageError, VoicehandError
 from .features import compute_features, export_csv
 from .gestures import CLASS_NAMES, GestureTable
-from .network import (
-    REFERENCE_LAYER_PARAMS,
-    REFERENCE_NON_TRAINABLE,
-    REFERENCE_TRAINABLE,
-    build_network,
-    count_params,
-    layer_table,
-)
+from .network import build_network, count_params, layer_table
 from .train import TrainConfig, evaluate, fit
 from .wav import read_wav
 
@@ -202,10 +195,7 @@ def cmd_recognize(args) -> int:
     network, _ = _network_from_checkpoint(args.checkpoint)
     clip = _read_clip(args.wav)
     table = _load_table(args.gesture_table)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        decision = recognize_clip(network, clip, table)
-    if not np.isfinite(decision.prob):  # argmax picks a NaN wherever there is one
-        raise CheckpointError(f"{args.checkpoint}: the network's class probabilities are not finite")
+    decision = recognize_clip(network, clip, table)
     print(decision.to_json(accepts(decision.prob, decision.gesture, args.threshold)))
     return 0
 
@@ -248,13 +238,10 @@ def cmd_inspect(args) -> int:
     print(fmt.format(*titles))
     for row in rows:
         print(fmt.format(*map(str, row)))
-    trainable, non_trainable, per_layer = count_params(network)
+    trainable, non_trainable, _ = count_params(network)
     print(f"trainable: {trainable}")
     print(f"non-trainable: {non_trainable}")
     print(f"total: {trainable + non_trainable}")
-    expected = (REFERENCE_TRAINABLE, REFERENCE_NON_TRAINABLE, list(REFERENCE_LAYER_PARAMS))
-    if (trainable, non_trainable, per_layer) != expected:
-        raise CheckpointError("parameter counts deviate from the reference architecture")
     return 0
 
 
@@ -328,7 +315,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # an overflow surfaces as the NonFiniteOutput it leads to, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (VoicehandError, OSError) as e:
         # an OSError is unreadable data: a dataset, a noise clip, an output path
         error = e if isinstance(e, VoicehandError) else VoicehandError

@@ -112,7 +112,7 @@ def accepts(prob: float, gesture: GestureClass, threshold: float) -> bool:
 
 def classify_window(network, window_values: np.ndarray) -> np.ndarray:
     """Class probabilities (9,) for one second of [-1, 1] samples."""
-    feats = log_compress(stft_power(window_values)).astype(network.dtype)
+    feats = log_compress(stft_power(window_values))
     probs, _ = network.forward(feats[None, :, :, None], mode="infer")
     return probs[0]
 

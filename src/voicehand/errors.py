@@ -121,3 +121,8 @@ class NonFinitePayload(CheckpointError):
 
 class NegativeVariance(CheckpointError):
     """Checkpoint payload holds a batch-norm moving variance below 0."""
+
+
+class NonFiniteOutput(CheckpointError):
+    """Inference output holds a NaN or infinite value: the weights load
+    but overflow."""

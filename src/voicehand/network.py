@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, StaleTrace
+from .errors import NonFiniteOutput, ShapeMismatch, StaleTrace
 from .features import FEATURE_SHAPE
 from .layers import BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool2D
 from .rng import substream
@@ -76,15 +76,15 @@ class Network:
 
     def forward(self, x, mode="infer", dropout_rng=None):
         """Run the stack; returns (probabilities, trace) in train mode and
-        (probabilities, None) in infer mode."""
+        (probabilities, None) in infer mode, through `run_layers`."""
         h = np.asarray(x, dtype=self.dtype)
+        if mode != "train":
+            return run_layers(self.layers, h), None
         caches = []
         for layer in self.layers:
             h, cache = layer.forward(h, mode, dropout_rng)
             caches.append(cache)
-        if mode == "train":
-            return h, ForwardTrace(caches=caches, probs=h, version=self.version)
-        return h, None
+        return h, ForwardTrace(caches=caches, probs=h, version=self.version)
 
     def backward(self, trace: ForwardTrace, targets: np.ndarray) -> dict:
         """Gradients of the mean cross-entropy loss for every trainable
@@ -157,9 +157,13 @@ def build_network(seed=17, dtype=np.float32) -> Network:
 
 
 def run_layers(layers, h, mode="infer"):
-    """Output of `layers` run in order on `h`, keeping no cache."""
+    """Output of `layers` run in order on `h`, keeping no cache. In infer
+    mode an output that is not finite raises `NonFiniteOutput`, as argmax
+    would pick its NaN as the decision."""
     for layer in layers:
         h, _ = layer.forward(h, mode)
+    if mode == "infer" and not np.isfinite(h).all():
+        raise NonFiniteOutput(f"the network's {layers[-1].name} output is not finite")
     return h
 
 

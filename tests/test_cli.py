@@ -17,7 +17,7 @@ from voicehand.checkpoint import save_checkpoint
 from voicehand.cli import CONFIG_KINDS, DATA_DIR_ENV, build_parser, main
 from voicehand.gestures import GestureTable
 from voicehand.network import build_network
-from voicehand.synth import tone_samples
+from voicehand.synth import tone_samples, write_tone_dataset
 from voicehand.wav import write_wav
 
 from conftest import JSON_VALUES, read_csv_rows, tone_wav, write_word_tree
@@ -277,15 +277,39 @@ def test_recognize_malformed_checkpoint_is_checkpoint_error(tmp_path, capsys, ma
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.filterwarnings("error")  # a numpy overflow warning would print before the error
-def test_recognize_non_finite_output_is_checkpoint_error(tmp_path, capsys):
+def _overflowing_checkpoint(path):
     # finite weights whose matmul overflows: the file loads, the output is NaN
     net = build_network()
     net["conv1"].weights[...] = 3e38
-    save_checkpoint(tmp_path / "huge.ckpt", net)
+    save_checkpoint(path, net)
+    return path
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning would print before the error
+def test_recognize_non_finite_output_is_checkpoint_error(tmp_path, capsys):
+    ckpt = _overflowing_checkpoint(tmp_path / "huge.ckpt")
     wav = tone_wav(tmp_path / "one.wav", 2000.0)
-    code, out, err = run_cli(capsys, "recognize", "--checkpoint", str(tmp_path / "huge.ckpt"),
-                             "--wav", str(wav))
+    code, out, err = run_cli(capsys, "recognize", "--checkpoint", str(ckpt), "--wav", str(wav))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("checkpoint error:") and "not finite" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["stream", "--input", "wav:{wav}", "--hop-ms", "70"],  # the stream cache's path
+    ["stream", "--input", "wav:{wav}", "--hop-ms", "500"],  # classify_window per window
+    ["eval", "--data-dir", "{data}", "--split", "val", "--json"],
+], ids=["stream-70", "stream-500", "eval-json"])
+def test_non_finite_output_ends_stream_and_eval_as_checkpoint_error(tmp_path, capsys, argv):
+    # unchecked, NaN probabilities reach no threshold, so stream would print
+    # nothing and exit 0, and eval would count every clip as class 0 (argmax of NaN)
+    ckpt = _overflowing_checkpoint(tmp_path / "huge.ckpt")
+    wav, _ = _long_recording(tmp_path)
+    data = write_tone_dataset(tmp_path / "tones", clips_per_class=4)  # loud enough to overflow
+    argv = [a.format(wav=wav, data=data) for a in argv] + ["--checkpoint", str(ckpt)]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("checkpoint error:") and "not finite" in err

@@ -12,7 +12,7 @@ import pytest
 
 import voicehand.network
 
-from voicehand.errors import ShapeMismatch, StaleTrace
+from voicehand.errors import NonFiniteOutput, ShapeMismatch, StaleTrace
 from voicehand.network import (
     INPUT_SHAPE,
     REFERENCE_LAYER_PARAMS,
@@ -87,6 +87,18 @@ def test_zero_input_gives_uniform_probabilities():
     probs, _ = net.forward(np.zeros((2,) + INPUT_SHAPE))
     np.testing.assert_allclose(probs, 1.0 / 9.0, atol=1e-7)
     assert np.all(probs == probs[0, 0])  # identical logits, identical probs
+
+
+def test_infer_forward_refuses_output_that_is_not_finite():
+    net = build_network(seed=17)
+    net["conv1"].weights[...] = 3e38
+    x = np.random.default_rng(0).normal(size=(2,) + INPUT_SHAPE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # training steps are not checked
+        probs, trace = net.forward(x, mode="train", dropout_rng=np.random.default_rng(0))
+        assert trace is not None and not np.isfinite(probs).all()
+        with pytest.raises(NonFiniteOutput, match="dense2 output is not finite"):
+            net.forward(x, mode="infer")
 
 
 def test_same_seed_same_network():

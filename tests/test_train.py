@@ -12,7 +12,7 @@ import pytest
 
 from voicehand.adam import Adam
 from voicehand.dataset import index_dataset
-from voicehand.errors import EmptyNoisePool, EmptySplit, EmptyTrainingSplit
+from voicehand.errors import EmptyNoisePool, EmptySplit, EmptyTrainingSplit, NonFiniteOutput
 from voicehand.gestures import GestureClass
 from voicehand.network import build_network
 from voicehand.synth import write_tone_dataset
@@ -171,6 +171,21 @@ def test_fit_augment_without_noise_raises(tmp_path, tiny_tree):
     # augmentation off: same tree trains fine
     fit(_small_net(), bare, TrainConfig(epochs=1, batch_size=4, augment=False),
         tmp_path / "y")
+
+
+def test_fit_stops_when_validation_outputs_are_not_finite(tmp_path):
+    # an overflowing network trains on NaN without complaint; its first
+    # validation pass ends the run before best.ckpt is chosen by a NaN score
+    index = index_dataset(write_tone_dataset(tmp_path / "tones", clips_per_class=4))
+    assert index.split_entries("val")
+    net = _small_net()
+    net["conv1"].weights[...] = 3e38
+    out = tmp_path / "run"
+    config = TrainConfig(epochs=2, batch_size=4, seed=7, augment=False)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteOutput):
+        fit(net, index, config, out)
+    assert not (out / "best.ckpt").exists()
+    assert not (out / "final.ckpt").exists()
 
 
 def test_evaluate_confusion_accounting(tiny_tree):
