@@ -8,7 +8,7 @@ numpy.
 
 from .adam import Adam
 from .audio import PCM_SCALE, WINDOW_SAMPLES, NoisePool, mix_noise, to_window
-from .checkpoint import load_checkpoint, read_header, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .commands import (
     DacFrame,
     Decision,

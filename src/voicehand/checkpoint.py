@@ -15,14 +15,13 @@ payload byte is interpreted, so a mismatched file fails loudly instead
 of loading plausible garbage.
 """
 
-import contextlib
 import json
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import (
     BadMagic,
     NegativeVariance,
@@ -50,28 +49,32 @@ def _header(tensors, metadata) -> dict:
     }
 
 
+def _check_payload(values: np.ndarray, tensors, path) -> None:
+    """The payload rule of save and load: every float32 value is finite
+    and every batch-norm moving variance at least 0, as training's
+    running average always is."""
+    if not np.isfinite(values).all():
+        raise NonFinitePayload(f"{path}: payload holds a NaN or infinite value")
+    offset = 0
+    for name, a in tensors:
+        if name.endswith(".moving_var") and (values[offset : offset + a.size] < 0).any():
+            raise NegativeVariance(f"{path}: {name} holds a value below 0")
+        offset += a.size
+
+
 def save_checkpoint(path, network: Network, metadata=None) -> None:
-    """Write atomically: the bytes go to a temporary file next to `path`,
-    which then replaces it, so a write that fails part-way leaves an
-    earlier file at `path` as it was. Metadata must be strict JSON."""
+    """Write atomically (see `atomic.write_atomic`). Metadata must be
+    strict JSON, and a network whose values break the payload rule, a
+    float64 value beyond float32's range included, is refused before
+    anything is written."""
     tensors = network.state_tensors()
     header = json.dumps(_header(tensors, metadata), sort_keys=True,
                         allow_nan=False).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for _, a in tensors)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<II", FORMAT_VERSION, len(header)))
-            f.write(header)
-            f.write(payload)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with np.errstate(over="ignore"):  # beyond float32's range is infinite, and refused
+        values = np.concatenate([np.ravel(a).astype("<f4") for _, a in tensors])
+    _check_payload(values, tensors, path)
+    write_atomic(path, MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header
+                 + values.tobytes())
 
 
 def _parse(data: bytes, path) -> tuple:
@@ -94,19 +97,13 @@ def _parse(data: bytes, path) -> tuple:
     return header, data[12 + header_len :]
 
 
-def read_header(path) -> dict:
-    """Parse and validate everything before the payload."""
-    return _parse(Path(path).read_bytes(), path)[0]
-
-
 def load_checkpoint(path, network: Network) -> dict:
     """Load weights into `network` in place; returns header metadata.
 
     The file is read once. Its architecture descriptor, input shape,
     class names and tensor list must match what `save_checkpoint` writes
-    for this network, every payload value must be finite and every
-    batch-norm moving variance at least 0, as training's running average
-    always is; on any failure the network is left as it was.
+    for this network, and the payload must keep the rule save keeps (see
+    `_check_payload`); on any failure the network is left as it was.
     """
     header, payload = _parse(Path(path).read_bytes(), path)
     tensors = network.state_tensors()
@@ -118,16 +115,10 @@ def load_checkpoint(path, network: Network) -> dict:
     if len(payload) != 4 * count:
         raise TruncatedPayload(f"{path}: payload holds {len(payload) // 4} floats, expected {count}")
     values = np.frombuffer(payload, dtype="<f4")
-    if not np.isfinite(values).all():
-        raise NonFinitePayload(f"{path}: payload holds a NaN or infinite value")
-    pieces, offset = [], 0
-    for name, a in tensors:
-        piece = values[offset : offset + a.size]
-        if name.endswith(".moving_var") and (piece < 0).any():
-            raise NegativeVariance(f"{path}: {name} holds a value below 0")
-        pieces.append(piece)
+    _check_payload(values, tensors, path)
+    offset = 0
+    for _, a in tensors:
+        a[...] = values[offset : offset + a.size].reshape(a.shape)
         offset += a.size
-    for (_, a), piece in zip(tensors, pieces):
-        a[...] = piece.reshape(a.shape)
     network.mark_mutated()
     return header.get("metadata", {})

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .commands import StreamConfig, accepts, recognize_clip, stream_decode
+from .commands import StreamConfig, recognize_clip, stream_decode
 from .dataset import index_dataset, subsample_unknown
 from .errors import CheckpointError, UsageError, VoicehandError
 from .features import compute_features, export_csv
@@ -195,8 +195,7 @@ def cmd_recognize(args) -> int:
     network, _ = _network_from_checkpoint(args.checkpoint)
     clip = _read_clip(args.wav)
     table = _load_table(args.gesture_table)
-    decision = recognize_clip(network, clip, table)
-    print(decision.to_json(accepts(decision.prob, decision.gesture, args.threshold)))
+    print(recognize_clip(network, clip, table, args.threshold).to_json())
     return 0
 
 

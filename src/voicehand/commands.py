@@ -9,7 +9,8 @@ DAC. A command frame is the 3-byte payload written to the device:
 
 The code is the contraction value scaled by the channel's max_fraction
 cap onto the full 16-bit range, rounded half up. A window classified as
-unknown produces no frames at all: the hand holds its last pose.
+unknown, or below the decision threshold, produces no frames at all: the
+hand holds its last pose.
 """
 
 import json
@@ -79,7 +80,9 @@ def frames_for(trajectory: Optional[FingerTrajectory], table: GestureTable) -> t
 
 @dataclass(frozen=True)
 class Decision:
-    """One classified window and the command it translates to."""
+    """One classified window and the command it sends: an accepted
+    decision carries its word's trajectory and frames, a rejected one
+    neither, and the hand holds its pose."""
 
     gesture: GestureClass
     prob: float
@@ -87,27 +90,23 @@ class Decision:
     frames: tuple  # of DacFrame
     t_ms: Optional[int] = None  # window end time within a stream
 
-    def to_json(self, accepted=None) -> str:
-        """The wire JSON. Given `accepted` (a single-clip decision), the
-        document carries it after prob, and a rejected decision carries
-        no trajectory and no frames: the hand holds its pose."""
+    @property
+    def accepted(self) -> bool:
+        return self.trajectory is not None
+
+    def to_json(self) -> str:
+        """The wire JSON. A single-clip decision (no t_ms) says whether
+        it was accepted, after prob."""
         doc = {}
         if self.t_ms is not None:
             doc["t_ms"] = int(self.t_ms)
         doc["class"] = self.gesture.word
         doc["prob"] = round(float(self.prob), 6)
-        if accepted is not None:
-            doc["accepted"] = accepted
-        sent = accepted is not False
-        doc["trajectory"] = list(self.trajectory.as_tuple()) if sent and self.trajectory else None
-        doc["frames"] = [list(f.as_bytes()) for f in self.frames] if sent else []
+        if self.t_ms is None:
+            doc["accepted"] = self.accepted
+        doc["trajectory"] = list(self.trajectory.as_tuple()) if self.accepted else None
+        doc["frames"] = [list(f.as_bytes()) for f in self.frames]
         return json.dumps(doc)
-
-
-def accepts(prob: float, gesture: GestureClass, threshold: float) -> bool:
-    """The acceptance rule of recognize and stream: a known word whose
-    probability reaches the threshold."""
-    return prob >= threshold and gesture != GestureClass.UNKNOWN
 
 
 def classify_window(network, window_values: np.ndarray) -> np.ndarray:
@@ -117,21 +116,19 @@ def classify_window(network, window_values: np.ndarray) -> np.ndarray:
     return probs[0]
 
 
-def decide(probs: np.ndarray, table: GestureTable, t_ms=None) -> Decision:
+def decide(probs: np.ndarray, table: GestureTable, threshold=0.0, t_ms=None) -> Decision:
+    """The acceptance rule of recognize and stream: the most probable
+    class is accepted when it is a known word whose probability reaches
+    the threshold, and only then gets its trajectory and frames."""
     idx = int(np.argmax(probs))
     gesture = GestureClass(idx)
-    trajectory = lookup_trajectory(table, gesture)
-    return Decision(
-        gesture=gesture,
-        prob=float(probs[idx]),
-        trajectory=trajectory,
-        frames=frames_for(trajectory, table),
-        t_ms=t_ms,
-    )
+    prob = float(probs[idx])
+    trajectory = lookup_trajectory(table, gesture) if prob >= threshold else None
+    return Decision(gesture, prob, trajectory, frames_for(trajectory, table), t_ms)
 
 
-def recognize_clip(network, clip: AudioClip, table: GestureTable) -> Decision:
-    return decide(classify_window(network, to_window(clip)), table)
+def recognize_clip(network, clip: AudioClip, table: GestureTable, threshold=0.0) -> Decision:
+    return decide(classify_window(network, to_window(clip)), table, threshold)
 
 
 @dataclass(frozen=True)
@@ -209,9 +206,9 @@ def stream_decode(network, samples: np.ndarray, table: GestureTable = None,
                   config: StreamConfig = StreamConfig()):
     """Decode a long 16 kHz PCM recording into command decisions.
 
-    Slides a one-second window by hop_ms and yields a Decision whenever
-    the window `accepts` at the decision threshold and at least
-    refractory_ms passed since the last emission. t_ms is
+    Slides a one-second window by hop_ms and yields the window's
+    Decision whenever at least refractory_ms passed since the last
+    emission and `decide` accepts it at the decision threshold. t_ms is
     the end of the emitting window.
 
     A hop that is a multiple of 70 ms, up to 840 ms, reuses work between
@@ -221,11 +218,10 @@ def stream_decode(network, samples: np.ndarray, table: GestureTable = None,
     table = table or GestureTable.default()
     last_emit_ms = None
     for offset, probs in window_probs(network, samples, config):
-        idx = int(np.argmax(probs))
-        if not accepts(float(probs[idx]), GestureClass(idx), config.decision_threshold):
-            continue
         t_ms = (offset + WINDOW_SAMPLES) * 1000 // SAMPLE_RATE
         if last_emit_ms is not None and t_ms - last_emit_ms < config.refractory_ms:
             continue
-        last_emit_ms = t_ms
-        yield decide(probs, table, t_ms=t_ms)
+        decision = decide(probs, table, config.decision_threshold, t_ms)
+        if decision.accepted:
+            last_emit_ms = t_ms
+            yield decision

@@ -32,12 +32,6 @@ class DatasetIndex:
     def split_entries(self, split: str):
         return [e for e in self.entries if e.split == split]
 
-    def counts(self, split: str):
-        counts = {c: 0 for c in GestureClass}
-        for e in self.split_entries(split):
-            counts[e.label] += 1
-        return counts
-
 
 def _read_list(path: Path):
     return {line.strip() for line in path.read_text().splitlines() if line.strip()}

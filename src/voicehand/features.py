@@ -9,8 +9,11 @@ network's input shape and the stream cache's frame arithmetic read these
 constants.
 """
 
+import io
+
 import numpy as np
 
+from .atomic import write_atomic
 from .audio import WINDOW_SAMPLES, to_window
 from .errors import BadWindowLength
 from .wav import AudioClip
@@ -54,5 +57,8 @@ def compute_features(clip: AudioClip) -> np.ndarray:
 
 
 def export_csv(features: np.ndarray, path) -> None:
-    """129 rows (bin 0 = DC) x 71 comma-separated values."""
-    np.savetxt(path, features, fmt="%.10g", delimiter=",")
+    """129 rows (bin 0 = DC) x 71 comma-separated values, written
+    atomically."""
+    buffer = io.BytesIO()
+    np.savetxt(buffer, features, fmt="%.10g", delimiter=",")
+    write_atomic(path, buffer.getvalue())

@@ -120,14 +120,6 @@ class GestureTable:
         max_fraction = _numbers(raw.get("max_fraction", [1.0] * 8), "max_fraction")
         return cls(rows=rows, max_fraction=max_fraction, channel_map=dict(channels))
 
-    def save(self, path) -> None:
-        doc = {
-            "gestures": {w: list(t.as_tuple()) for w, t in sorted(self.rows.items())},
-            "max_fraction": list(self.max_fraction),
-            "channels": self.channel_map,
-        }
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
 
 def _json_object(value, what) -> dict:
     if not isinstance(value, dict):

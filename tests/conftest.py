@@ -8,6 +8,8 @@ four-class dataset (three tones plus a near-silent hum class) so the
 streaming and CLI tests exercise a network that actually discriminates.
 """
 
+import errno
+import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,3 +201,38 @@ def assert_same_grad_bits(got, want):
     for name, g in want.items():
         assert got[name].dtype == g.dtype, name
         assert got[name].tobytes() == g.tobytes(), name
+
+
+def patch_payload(path, tensor, index, value):
+    """Overwrite the float32 at `index` of `tensor` in a good file's
+    payload; save refuses to write such a value itself."""
+    raw = bytearray(path.read_bytes())
+    end = 12 + struct.unpack_from("<I", raw, 8)[0]
+    offset = 0
+    for entry in json.loads(raw[12:end])["tensors"]:
+        size = int(np.prod(entry["shape"]))
+        if entry["name"] == tensor:
+            struct.pack_into("<f", raw, end + 4 * (offset + index % size), value)
+            path.write_bytes(bytes(raw))
+            return path
+        offset += size
+    raise KeyError(tensor)
+
+
+class HalfWriter:
+    """A file whose first large write stops half-way with a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        if len(data) > 100:
+            self.f.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.f.write(data)

@@ -1,7 +1,6 @@
 """Checkpoint container: canonical layout, bitwise stability, and
 header-before-payload validation."""
 
-import errno
 import json
 import os
 import struct
@@ -12,12 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voicehand import checkpoint
+from voicehand import atomic
 from voicehand.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
     load_checkpoint,
-    read_header,
     save_checkpoint,
 )
 from voicehand.errors import (
@@ -31,7 +29,7 @@ from voicehand.errors import (
 )
 from voicehand.network import build_network
 
-from conftest import JSON_VALUES
+from conftest import JSON_VALUES, HalfWriter, patch_payload
 
 CANONICAL_TENSORS = [
     "conv1.weights", "conv1.biases",
@@ -89,12 +87,10 @@ def test_file_layout_and_payload_size(tmp_path):
     assert path.stat().st_size == 12 + header_len + 4 * 22657
 
 
-def test_read_header_alone(tmp_path):
+def test_load_returns_the_header_metadata(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, build_network(seed=17), metadata={"note": "x"})
-    header = read_header(path)
-    assert header["metadata"] == {"note": "x"}
-    assert sum(int(np.prod(t["shape"])) for t in header["tensors"]) == 22657
+    assert load_checkpoint(path, build_network(seed=3)) == {"note": "x"}
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -114,7 +110,7 @@ def test_future_version_rejected(tmp_path):
     struct.pack_into("<I", raw, 4, 2)
     path.write_bytes(bytes(raw))
     with pytest.raises(UnsupportedVersion):
-        read_header(path)
+        load_checkpoint(path, build_network(seed=17))
 
 
 def test_truncated_payload_rejected(tmp_path):
@@ -181,8 +177,6 @@ def test_header_that_is_not_an_object_rejected(tmp_path, header):
     path = tmp_path / "m.ckpt"
     path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header)
     with pytest.raises(SpecMismatch, match="not a JSON object"):
-        read_header(path)
-    with pytest.raises(SpecMismatch):
         load_checkpoint(path, build_network(seed=17))
 
 
@@ -190,9 +184,8 @@ def test_header_that_is_not_an_object_rejected(tmp_path, header):
 @pytest.mark.parametrize("tensor", ["conv1.weights", "bn2.moving_var", "dense2.biases"])
 def test_non_finite_payload_rejected_and_network_untouched(tmp_path, bad, tensor):
     path = tmp_path / "m.ckpt"
-    source = build_network(seed=17)
-    dict(source.state_tensors())[tensor].flat[-1] = bad
-    save_checkpoint(path, source)
+    save_checkpoint(path, build_network(seed=17))
+    patch_payload(path, tensor, -1, bad)
     net = _scrambled_net()
     before = [a.copy() for _, a in net.state_tensors()]
     with pytest.raises(NonFinitePayload):
@@ -205,9 +198,8 @@ def test_non_finite_payload_rejected_and_network_untouched(tmp_path, bad, tensor
 def test_negative_moving_variance_rejected_and_network_untouched(tmp_path, tensor):
     # a negative variance loads as NaN outputs; training's running average is never below 0
     path = tmp_path / "m.ckpt"
-    source = build_network(seed=17)
-    dict(source.state_tensors())[tensor][0] = -1.0
-    save_checkpoint(path, source)
+    save_checkpoint(path, build_network(seed=17))
+    patch_payload(path, tensor, 0, -1.0)
     net = _scrambled_net()
     before = [a.copy() for _, a in net.state_tensors()]
     with pytest.raises(NegativeVariance, match=tensor):
@@ -254,37 +246,50 @@ def test_load_into_float64_network_casts(tmp_path):
     np.testing.assert_allclose(wide["conv1"].weights, source["conv1"].weights.astype(np.float64))
 
 
-class _HalfWriter:
-    """A file whose first large write stops half-way with a full disk."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.f.close()
-
-    def write(self, data):
-        if len(data) > 100:
-            self.f.write(data[: len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return self.f.write(data)
-
-
 def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch):
     path = tmp_path / "best.ckpt"
     save_checkpoint(path, build_network(seed=17), metadata={"epoch": 0})
     before = path.read_bytes()
     assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
-    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: _HalfWriter(open(*a, **k)),
+    monkeypatch.setattr(atomic, "open", lambda *a, **k: HalfWriter(open(*a, **k)),
                         raising=False)
     with pytest.raises(OSError, match="No space"):
         save_checkpoint(path, _scrambled_net(), metadata={"epoch": 1})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
+
+@pytest.mark.parametrize("tensor, value, error", [
+    ("conv1.weights", np.nan, NonFinitePayload),
+    ("dense2.biases", -np.inf, NonFinitePayload),
+    ("bn1.moving_var", -1.0, NegativeVariance),
+    ("bn2.moving_var", -1e-30, NegativeVariance),
+])
+def test_save_refuses_what_load_refuses_and_keeps_the_earlier_file(tmp_path, tensor, value,
+                                                                   error):
+    path = tmp_path / "final.ckpt"
+    save_checkpoint(path, build_network(seed=17), metadata={"epoch": 0})
+    before = path.read_bytes()
+    net = _scrambled_net()
+    dict(net.state_tensors())[tensor].flat[0] = value
+    with pytest.raises(error):
+        save_checkpoint(path, net, metadata={"epoch": 1})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["final.ckpt"]
+
+
+@pytest.mark.filterwarnings("error")  # the float32 cast's overflow is no warning either
+def test_save_checks_the_float32_values_it_would_write(tmp_path):
+    # 1e39 is finite in a float64 network and infinite once written as float32
+    wide = build_network(seed=17, dtype=np.float64)
+    wide["dense1"].weights[0, 0] = 1e39
+    with pytest.raises(NonFinitePayload):
+        save_checkpoint(tmp_path / "m.ckpt", wide)
+    assert list(tmp_path.iterdir()) == []
+    wide["dense1"].weights[0, 0] = 3e38  # inside float32's range
+    save_checkpoint(tmp_path / "m.ckpt", wide)
+    load_checkpoint(tmp_path / "m.ckpt", build_network(seed=3))
 
 
 def test_metadata_must_be_strict_json(tmp_path):

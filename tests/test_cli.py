@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import voicehand.cli as cli
+from voicehand import atomic
 from voicehand.checkpoint import save_checkpoint
 from voicehand.cli import CONFIG_KINDS, DATA_DIR_ENV, build_parser, main
 from voicehand.gestures import GestureTable
@@ -20,7 +21,8 @@ from voicehand.network import build_network
 from voicehand.synth import tone_samples, write_tone_dataset
 from voicehand.wav import write_wav
 
-from conftest import JSON_VALUES, read_csv_rows, tone_wav, write_word_tree
+from conftest import (JSON_VALUES, HalfWriter, patch_payload, read_csv_rows, tone_wav,
+                      write_word_tree)
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +116,20 @@ def test_features_exports_grid(tmp_path, capsys):
     assert grid.shape == (129, 71)
 
 
+def test_features_failed_write_keeps_the_earlier_csv(tmp_path, capsys, monkeypatch):
+    wav = tone_wav(tmp_path / "t.wav", 2000.0)
+    out_csv = tmp_path / "grid.csv"
+    out_csv.write_text("an earlier grid\n")
+    monkeypatch.setattr(atomic, "open", lambda *a, **k: HalfWriter(open(*a, **k)),
+                        raising=False)
+    code, out, err = run_cli(capsys, "features", "--wav", str(wav), "--out", str(out_csv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("data error:") and "No space" in err
+    assert out_csv.read_text() == "an earlier grid\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv", "t.wav"]
+
+
 def test_features_missing_wav_is_data_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "features", "--wav", str(tmp_path / "no.wav"),
                            "--out", str(tmp_path / "o.csv"))
@@ -171,12 +187,9 @@ def test_recognize_threshold_gates_acceptance(trained, tmp_path, capsys):
 
 
 def test_recognize_custom_gesture_table(trained, tmp_path, capsys):
-    from voicehand.gestures import FingerTrajectory, GestureTable
-
-    table = GestureTable.default()
-    table.rows["one"] = FingerTrajectory(0.0, 1.0, 0.0, 0.0, 0.0)
     table_path = tmp_path / "table.json"
-    table.save(table_path)
+    table_path.write_text(json.dumps(
+        {**TABLE, "gestures": {**TABLE["gestures"], "one": [0.0, 1.0, 0.0, 0.0, 0.0]}}))
     wav = tone_wav(tmp_path / "one.wav", 2000.0, amplitude=0.5)
     code, out, _ = run_cli(capsys, "recognize", "--checkpoint", str(trained.best_ckpt),
                            "--wav", str(wav), "--gesture-table", str(table_path))
@@ -253,12 +266,8 @@ def _checkpoint_with_header(path, header):
 
 
 def _checkpoint_with_weight(path, value):
-    from voicehand.checkpoint import save_checkpoint
-    from voicehand.network import build_network
-    net = build_network()
-    net["dense2"].weights[0, 0] = value
-    save_checkpoint(path, net)
-    return path
+    save_checkpoint(path, build_network())
+    return patch_payload(path, "dense2.weights", 0, value)
 
 
 @pytest.mark.parametrize("make", [
@@ -492,6 +501,21 @@ def test_eval_negative_config_seed_is_usage_error(fresh, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- train
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_that_overflows_without_a_val_split_writes_no_checkpoint(tmp_path, capsys):
+    # no validation pass sees the NaN outputs, so the save is what refuses
+    data = write_tone_dataset(tmp_path / "tones", clips_per_class=4, val_fraction=0.0)
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "train", "--data-dir", str(data), "--out", str(out_dir),
+                             "--lr", "1e30", "--epochs", "2", "--batch-size", "4",
+                             "--no-augment")
+    assert code == 3
+    assert err.startswith("checkpoint error:") and "NaN or infinite" in err
+    assert len(err.splitlines()) == 1
+    assert "done:" not in out
+    assert sorted(p.name for p in out_dir.iterdir()) == ["training_log.csv"]
 
 
 @pytest.fixture

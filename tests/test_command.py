@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voicehand import commands
 from voicehand.commands import (
     CMD_WRITE_UPDATE,
     DacFrame,
     decide,
     encode_dac_frames,
     frames_for,
+    recognize_clip,
     trajectory_to_codes,
 )
 from voicehand.errors import ChannelOutOfRange, CodeOutOfRange, DuplicateChannel
@@ -24,6 +26,7 @@ from voicehand.gestures import (
     GestureTable,
     lookup_trajectory,
 )
+from voicehand.wav import AudioClip
 
 
 def test_default_gesture_rows():
@@ -152,15 +155,54 @@ def test_decision_json_shape():
 
     no_time = json.loads(decide(probs, table).to_json())
     assert "t_ms" not in no_time
+    assert no_time["accepted"] is True
+
+
+def test_decide_below_the_threshold_holds_the_pose():
+    table = GestureTable.default()
+    probs = np.zeros(9)
+    probs[int(GestureClass.TWO)] = 0.7
+    probs[int(GestureClass.UNKNOWN)] = 0.3
+    assert decide(probs, table, 0.7).frames == frames_for(table.rows["two"], table)
+    held = decide(probs, table, np.nextafter(0.7, 1.0), t_ms=1500)
+    assert (held.gesture, held.prob, held.t_ms) == (GestureClass.TWO, 0.7, 1500)
+    assert held.trajectory is None
+    assert held.frames == ()
+    assert not held.accepted
+    assert json.loads(decide(probs, table, 0.8).to_json()) == {
+        "class": "two", "prob": 0.7, "accepted": False, "trajectory": None, "frames": []}
+
+
+@pytest.mark.parametrize("gesture, prob, threshold, accepted", [
+    (GestureClass.TWO, 0.6, 0.7, False),  # a known word below the threshold
+    (GestureClass.UNKNOWN, 0.9, 0.0, False),  # unknown, whatever the threshold
+    (GestureClass.TWO, 0.7, 0.7, True),  # a known word at the threshold
+])
+def test_recognize_clip_sends_frames_only_when_accepted(monkeypatch, gesture, prob, threshold,
+                                                        accepted):
+    probs = np.full(9, (1.0 - prob) / 8)
+    probs[int(gesture)] = prob
+    monkeypatch.setattr(commands, "classify_window", lambda network, window: probs)
+    table = GestureTable.default()
+    decision = recognize_clip(None, AudioClip(np.zeros(16000, dtype=np.int16)), table, threshold)
+    assert decision.gesture == gesture
+    assert decision.accepted is accepted
+    if accepted:
+        assert decision.trajectory == table.rows[gesture.word]
+        assert len(decision.frames) == 5
+    else:
+        assert decision.trajectory is None
+        assert decision.frames == ()
 
 
 def test_gesture_table_json_round_trip(tmp_path):
     table = GestureTable.default()
     path = tmp_path / "table.json"
-    table.save(path)
-    doc = json.loads(path.read_text())
-    assert set(doc) == {"gestures", "max_fraction", "channels"}
-    assert doc["gestures"]["two"] == [1.0, 0.0, 0.0, 1.0, 1.0]
+    path.write_text(json.dumps({
+        "gestures": {w: list(t.as_tuple()) for w, t in table.rows.items()},
+        "max_fraction": list(table.max_fraction),
+        "channels": table.channel_map,
+    }))
     back = GestureTable.load(path)
     assert back.rows == table.rows
     assert back.max_fraction == table.max_fraction

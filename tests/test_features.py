@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from voicehand import atomic
 from voicehand.audio import to_window_values
 from voicehand.errors import BadWindowLength
 from voicehand.features import (
@@ -25,6 +26,8 @@ from voicehand.features import (
 )
 from voicehand.synth import tone_samples
 from voicehand.wav import AudioClip
+
+from conftest import HalfWriter
 
 
 def dft_matrix(n=256, bins=129):
@@ -148,6 +151,21 @@ def test_export_csv_grid(tmp_path):
     assert all(len(r.split(",")) == 71 for r in rows)
     parsed = np.loadtxt(path, delimiter=",")
     np.testing.assert_allclose(parsed, features, rtol=1e-9)
+    direct = tmp_path / "direct.csv"
+    np.savetxt(direct, features, fmt="%.10g", delimiter=",")
+    assert path.read_bytes() == direct.read_bytes()
+
+
+def test_export_csv_failed_write_keeps_earlier_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "grid.csv"
+    export_csv(np.zeros(FEATURE_SHAPE), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(atomic, "open", lambda *a, **k: HalfWriter(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        export_csv(np.ones(FEATURE_SHAPE), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
 
 
 @settings(max_examples=40, deadline=None)

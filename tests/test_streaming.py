@@ -6,15 +6,16 @@ import pytest
 
 from voicehand.audio import WINDOW_SAMPLES, to_window_values
 from voicehand.commands import (
+    Decision,
     StreamConfig,
-    accepts,
     classify_window,
     decide,
+    frames_for,
     stream_decode,
     window_offsets,
     window_probs,
 )
-from voicehand.gestures import GestureClass
+from voicehand.gestures import GestureClass, GestureTable, lookup_trajectory
 from voicehand.rng import substream
 from voicehand.synth import tone_samples
 from voicehand.wav import SAMPLE_RATE
@@ -46,12 +47,19 @@ def test_config_validation():
     assert StreamConfig(hop_ms=500).hop_samples == 8000
 
 
+def _probs(gesture, prob):
+    probs = np.zeros(9)
+    probs[int(gesture)] = prob
+    return probs
+
+
 def test_accepts_at_the_threshold_and_never_unknown():
-    assert accepts(0.7, GestureClass.ONE, 0.7)
-    assert not accepts(np.nextafter(0.7, 0.0), GestureClass.ONE, 0.7)
-    assert accepts(1.0, GestureClass.ONE, 1.0)
-    assert not accepts(1.0, GestureClass.UNKNOWN, 0.0)
-    assert not accepts(0.7, GestureClass.UNKNOWN, 0.7)
+    table = GestureTable.default()
+    assert decide(_probs(GestureClass.ONE, 0.7), table, 0.7).accepted
+    assert not decide(_probs(GestureClass.ONE, np.nextafter(0.7, 0.0)), table, 0.7).accepted
+    assert decide(_probs(GestureClass.ONE, 1.0), table, 1.0).accepted
+    assert not decide(_probs(GestureClass.UNKNOWN, 1.0), table, 0.0).accepted
+    assert not decide(_probs(GestureClass.UNKNOWN, 0.7), table, 0.7).accepted
 
 
 def _tone_in_silence(freq=2000.0, amplitude=0.5, phase=1.0):
@@ -144,16 +152,20 @@ def _reference_probs(network, samples, config):
 
 
 def _reference_decode(network, samples, table, config):
-    """The acceptance and refractory rules over the uncached probabilities."""
+    """The acceptance and refractory rules, written out here, over the
+    uncached probabilities."""
     decisions, last_emit_ms = [], None
     for offset, probs in _reference_probs(network, samples, config):
         idx = int(np.argmax(probs))
-        if not accepts(float(probs[idx]), GestureClass(idx), config.decision_threshold):
+        gesture, prob = GestureClass(idx), float(probs[idx])
+        if prob < config.decision_threshold or gesture == GestureClass.UNKNOWN:
             continue
         t_ms = (offset + WINDOW_SAMPLES) * 1000 // SAMPLE_RATE
         if last_emit_ms is None or t_ms - last_emit_ms >= config.refractory_ms:
             last_emit_ms = t_ms
-            decisions.append(decide(probs, table, t_ms=t_ms))
+            trajectory = lookup_trajectory(table, gesture)
+            decisions.append(Decision(gesture, prob, trajectory,
+                                      frames_for(trajectory, table), t_ms))
     return decisions
 
 
