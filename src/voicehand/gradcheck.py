@@ -58,13 +58,21 @@ def tie_margins(network: Network, x) -> dict:
             if hasattr(layer, "tiles"):
                 top2 = np.partition(layer.tiles(h_act), -2, axis=3)[:, :, :, -2:, :]
                 margins[layer.name] = float((top2[..., 1, :] - top2[..., 0, :]).min())
-            h_act, cache = layer.forward(h_act, "train")
             if getattr(layer, "activation", None) == "relu":
-                # cache[0] is the conv patch matrix or the dense input
-                w = layer.weights
-                z = cache[0] @ w.reshape(-1, w.shape[-1]) + layer.biases
-                margins[layer.name] = float(np.abs(z).min())
+                margins[layer.name] = _relu_margin(layer, h_act)
+            h_act, _ = layer.forward(h_act, "train")
     return margins
+
+
+def _relu_margin(layer, x) -> float:
+    """min |pre-activation| of a ReLU Conv2D or Dense on input x; a conv's
+    pre-activations are taken clip by clip, as its forward takes them."""
+    w = layer.weights.reshape(-1, layer.weights.shape[-1])
+    if hasattr(layer, "lowered"):
+        parts = (cols @ w for _, _, cols in layer.lowered(x, x.shape[1]))
+    else:
+        parts = (x @ w,)
+    return float(min(np.abs(z + layer.biases).min() for z in parts))
 
 
 def draw_checkable_batch(network: Network, rng, thresholds: dict, batch_size: int = 2,

@@ -8,23 +8,32 @@ in production and float64 in verification builds; a layer never changes
 the dtype it was built with.
 
 Only train mode builds what backward reads. In infer mode Conv2D,
-MaxPool2D, BatchNorm and Dropout return None as their cache: Conv2D
-lowers one clip's patches at a time and keeps none of them, MaxPool2D
+MaxPool2D, BatchNorm and Dropout return None as their cache: MaxPool2D
 takes a plain max without recording where it was, BatchNorm uses its
-moving statistics and Dropout passes its input through. Backward needs
-a train-mode cache.
+moving statistics and Dropout passes its input through. Conv2D runs the
+same loop in both modes and keeps no patches in either; in train mode it
+caches its input and ReLU mask, and backward lowers the patches again.
+Backward needs a train-mode cache.
 
-Conv2D lowers its input to a (rows, fh·fw·cin) patch matrix and runs the
-convolution as matmuls on it. How the matrix lies in memory follows the
+Conv2D lowers its input to (rows, fh·fw·cin) patch matrices, one clip
+or one chunk of a clip at a time into one reused buffer, and runs the
+convolution as matmuls on them. How a buffer lies in memory follows the
 input: offset-major for one channel wider than the filter (conv1 on a
 full window, whose patch copies are most of a training step), row-major
-otherwise (conv2). The layout changes no bit of training or of
-full-window inference; see Conv2D.
+otherwise (conv2). The layout changes no bit of full-window inference;
+conv1's weight gradient rounds as its offset-major chunks give it. See
+Conv2D.
 """
 
 import numpy as np
 
 from .errors import EmptyBatch, ShapeMismatch
+
+# Most patch rows in one chunk of a conv weight gradient (see Conv2D). With
+# OpenBLAS 0.3.31 on 2 cores, chunks of up to 1024 rows gave the same bits
+# at 1 and 2 threads, and chunks of 1950 or 2600 did not;
+# tests/test_network.py checks the thread counts against each other.
+CHUNK_ROWS = 1024
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -32,6 +41,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def relu_grad(d_out: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """d_out where active, +0.0 elsewhere: the bits of `np.where(active,
+    d_out, 0.0)`, NaN, infinities and -0.0 included, by ANDing d_out's
+    words with all-ones or all-zeros words. A random mask defeats
+    np.where's select loop; the AND runs about 4x faster."""
+    word = np.dtype(f"u{d_out.dtype.itemsize}")
+    keep = active.astype(word)
+    np.negative(keep, out=keep)  # 1 -> all ones, 0 -> 0
+    return np.bitwise_and(d_out.view(word), keep, out=keep).view(d_out.dtype)
 
 
 class Layer:
@@ -73,22 +93,33 @@ class Layer:
 class Conv2D(Layer):
     """Valid (no padding) cross-correlation, stride 1, ReLU activation.
 
-    Weights are (filter_h, filter_w, in_channels, out_channels). The
-    forward pass lowers input patches to a (rows, fh·fw·cin) matrix, one
-    row per output position and columns in the weight layout's order, so
-    the contraction is `cols @ W` and the weight gradient `cols.T @ dz`.
-    Both modes run one loop of lower, matmul, bias and ReLU: train mode in
-    one step of the whole batch, keeping the patch matrix in the cache for
-    the weight gradient; infer mode in steps of one clip into a single
-    reused one-clip buffer, caching nothing (None). The per-clip matmuls
-    give the batch-wide matmul's bits, as a gemm sums each output over
-    the same taps in the same order whatever its row count (the one
-    exception is below). As a network's first layer it runs
-    backward with input_grad=False, which skips col2im: the patch-gradient
-    matmul and the scatter loop that sums it back into an input-shaped
-    gradient.
+    Weights are (filter_h, filter_w, in_channels, out_channels). Input
+    patches are lowered to (rows, fh·fw·cin) matrices, one row per output
+    position and columns in the weight layout's order, so the contraction
+    is `cols @ W` and the weight gradient `cols.T @ dz`. No patch matrix
+    outlives a call: `lowered` fills one reused buffer chunk by chunk.
 
-    The patch matrix's memory layout is the one whose filling copies the
+    Forward, in either mode, is one loop over the clips: lower the clip,
+    matmul, add the bias, ReLU. Per-clip matmuls give a batch-wide
+    matmul's bits, as a gemm sums each output over the same taps in the
+    same order whatever its row count. Train mode caches the input and
+    the ReLU mask, (x, active): 6 MiB for conv1 at batch 64, against 133
+    MiB for its whole patch matrix. Infer mode caches nothing (None).
+
+    Backward lowers the patches again from the cached input, which must
+    not change between the two calls. The weight gradient is summed
+    chunk by chunk, `d_w += cols_k.T @ dz_k`, clip by clip and top to
+    bottom. A chunk is the most whole output rows of one clip that fit
+    in CHUNK_ROWS patch rows: 15 rows (975 patch rows) for conv1 on a
+    full window, a whole clip (99) for conv2. Fixing the chunks fixes the
+    summation order: one gemm over every patch row of the batch is split
+    by OpenBLAS in a way that depends on its thread count, and gave
+    different weight-gradient bits at 1 and 2 threads. As a network's
+    first layer Conv2D runs backward with input_grad=False, which skips
+    col2im: the patch-gradient matmul and the scatter loop that sums it
+    back into an input-shaped gradient.
+
+    A patch buffer's memory layout is the one whose filling copies the
     longer contiguous runs of input. With one input channel and ow > fw
     it is offset-major, the transpose of a C-contiguous (fh·fw·cin, rows)
     buffer: each filter tap copies runs of ow neighbouring input values,
@@ -98,9 +129,9 @@ class Conv2D(Layer):
     channels) and conv1 on a 70 ms stream hop's 11 frames (ow 5) stay
     row-major: an offset-major run there is strided by cin or shorter
     than fw, and measured slower. Both layouts feed the gemms the same
-    values; only OpenBLAS's small-matrix float32 path can round a
-    transposed matrix differently in the last bit (`commands.window_probs`
-    names the one call where that shows).
+    values, but OpenBLAS can round a small gemm on a transposed operand
+    differently in the last bit: the weight-gradient chunks do, and so
+    does one forward call (`commands.window_probs` names it).
     """
 
     PARAMS = ("weights", "biases")
@@ -119,49 +150,62 @@ class Conv2D(Layer):
         if h < fh or w < fw:
             raise ShapeMismatch(f"{self.name}: input {h}x{w} smaller than filter {fh}x{fw}")
         oh, ow = h - fh + 1, w - fw + 1
-        patches = np.lib.stride_tricks.sliding_window_view(x, (fh, fw), axis=(1, 2))
-        # (n, oh, ow, cin, fh, fw) -> (n, oh, ow, fh, fw, cin), the weight layout's order
-        patches = patches.transpose(0, 1, 2, 4, 5, 3)
-        step = n if mode == "train" else 1
         w = self.weights.reshape(-1, cout)
         z = np.empty((n, oh, ow, cout), dtype=np.result_type(x, self.weights, self.biases))
-        cols, slots = self._patch_matrix(step, oh, ow, x.dtype)
-        for i in range(0, n, max(step, 1)):  # an empty batch runs no step
-            slots[...] = patches[i : i + step]
-            zi = z[i : i + step].reshape(-1, cout)
+        for i, _, cols in self.lowered(x, oh):
+            zi = z[i].reshape(-1, cout)
             np.matmul(cols, w, out=zi)
             zi += self.biases
             np.maximum(zi, 0.0, out=zi)
         if mode != "train":
             return z, None
-        return z, (cols, x.shape, z > 0.0)
+        return z, (x, z > 0.0)
 
-    def _patch_matrix(self, n, oh, ow, dtype):
-        """An empty (n·oh·ow, fh·fw·cin) patch matrix and a view of its
-        memory shaped (n, oh, ow, fh, fw, cin) to copy patches into.
-        Offset-major when that copies the longer contiguous runs: one
-        input channel and ow > fw; row-major otherwise."""
+    def lowered(self, x, rows):
+        """x's patch matrices in chunks of at most `rows` output rows of
+        one clip, clip by clip and top to bottom: yields (clip, the
+        chunk's k output rows as a slice, cols), cols a (k·ow, fh·fw·cin)
+        view of one buffer that the next chunk overwrites."""
+        fh, fw, _, _ = self.weights.shape
+        oh, ow = x.shape[1] - fh + 1, x.shape[2] - fw + 1
+        patches = np.lib.stride_tricks.sliding_window_view(x, (fh, fw), axis=(1, 2))
+        # (n, oh, ow, cin, fh, fw) -> (n, oh, ow, fh, fw, cin), the weight layout's order
+        patches = patches.transpose(0, 1, 2, 4, 5, 3)
+        cols, slots = self._patch_matrix(min(rows, oh), ow, x.dtype)
+        for i in range(x.shape[0]):
+            for r in range(0, oh, rows):
+                k = min(rows, oh - r)
+                slots[:k] = patches[i, r : r + k]
+                yield i, slice(r, r + k), cols[: k * ow]
+
+    def _patch_matrix(self, oh, ow, dtype):
+        """An empty (oh·ow, fh·fw·cin) patch matrix and a view of its
+        memory shaped (oh, ow, fh, fw, cin) to copy patches into; the
+        first k·ow matrix rows are the view's first k rows. Offset-major
+        when that copies the longer contiguous runs: one input channel
+        and ow > fw; row-major otherwise."""
         fh, fw, cin, _ = self.weights.shape
-        rows, taps = n * oh * ow, fh * fw * cin
+        rows, taps = oh * ow, fh * fw * cin
         if cin == 1 and ow > fw:
-            buf = np.empty((fh, fw, cin, n, oh, ow), dtype=dtype)
-            return buf.reshape(taps, rows).T, buf.transpose(3, 4, 5, 0, 1, 2)
-        buf = np.empty((n, oh, ow, fh, fw, cin), dtype=dtype)
+            buf = np.empty((fh, fw, cin, oh, ow), dtype=dtype)
+            return buf.reshape(taps, rows).T, buf.transpose(3, 4, 0, 1, 2)
+        buf = np.empty((oh, ow, fh, fw, cin), dtype=dtype)
         return buf.reshape(rows, taps), buf
 
     def backward(self, d_out, cache, input_grad=True):
-        cols, x_shape, active = cache
+        x, active = cache
         fh, fw, cin, cout = self.weights.shape
-        n, h, w, _ = x_shape
-        oh, ow = h - fh + 1, w - fw + 1
-        dz = np.where(active, d_out, 0.0).reshape(-1, cout)
-        d_w = (cols.T @ dz).reshape(self.weights.shape)
-        d_b = dz.sum(axis=0)
-        grads = self.grads(d_w, d_b)
+        n, oh, ow, _ = active.shape
+        dz = relu_grad(d_out, active)
+        d_w = np.zeros((fh * fw * cin, cout), dtype=np.result_type(x, dz))
+        for i, rows, cols in self.lowered(x, max(1, CHUNK_ROWS // ow)):
+            d_w += cols.T @ dz[i, rows].reshape(-1, cout)
+        dz = dz.reshape(-1, cout)
+        grads = self.grads(d_w.reshape(self.weights.shape), dz.sum(axis=0))
         if not input_grad:
             return None, grads
         d_cols = (dz @ self.weights.reshape(-1, cout).T).reshape(n, oh, ow, fh, fw, cin)
-        d_x = np.zeros(x_shape, dtype=d_out.dtype)
+        d_x = np.zeros(x.shape, dtype=d_out.dtype)
         for a in range(fh):
             for b in range(fw):
                 d_x[:, a : a + oh, b : b + ow, :] += d_cols[:, :, :, a, b, :]
@@ -320,7 +364,7 @@ class Dense(Layer):
 
     def backward(self, d_out, cache, input_grad=True):
         x, active = cache
-        dz = d_out if active is None else np.where(active, d_out, 0.0)
+        dz = d_out if active is None else relu_grad(d_out, active)
         d_w = x.T @ dz
         d_b = dz.sum(axis=0)
         grads = self.grads(d_w, d_b)

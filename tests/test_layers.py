@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from voicehand.errors import EmptyBatch, ShapeMismatch
-from voicehand.layers import BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool2D, softmax
+from voicehand.layers import (BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool2D, relu_grad,
+                              softmax)
 
 from conftest import assert_same_grad_bits
 
@@ -117,6 +118,24 @@ def test_conv_relu_mask_zeroes_inactive_gradient():
     d_x, grads = layer.backward(np.ones_like(y), cache)
     assert np.all(d_x == 0.0)
     assert np.all(grads["c.weights"] == 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_grad_is_where_bit_for_bit(dtype):
+    # every special value, in a masked and an unmasked position, in both orders
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.5,
+                        np.finfo(dtype).tiny / 2, -np.finfo(dtype).max], dtype=dtype)
+    d_out = np.concatenate([special, special])
+    active = np.arange(d_out.size) < special.size
+    d_out = np.concatenate([d_out, d_out[::-1]])
+    active = np.concatenate([active, ~active])
+    want = np.where(active, d_out, 0.0)
+    assert_same_bits(relu_grad(d_out, active), want)
+    # and on a strided (n, h, w, c) view, as a layer's gradient can be
+    rng = np.random.default_rng(8)
+    d_out = rng.choice(special, size=(3, 5, 4, 6))[:, ::2]
+    active = rng.random(size=d_out.shape) < 0.5
+    assert_same_bits(relu_grad(d_out, active), np.where(active, d_out, 0.0))
 
 
 def test_conv_rejects_undersized_input():
@@ -521,9 +540,15 @@ def test_pool_infer_is_train_bit_for_bit_for_any_shape(data, dtype, ph, pw):
 
 
 def _row_major_reference(layer, x, d_out):
-    """(output, weight grad, bias grad, input grad) of a conv layer through
-    a C-contiguous (rows, fh·fw·cin) patch matrix: `@` forward, tensordot
-    gradients, col2im summed filter tap by filter tap."""
+    """(output, weight grad, bias grad, input grad, unchunked weight grad)
+    of a conv layer through a C-contiguous (rows, fh·fw·cin) patch
+    matrix: `@` forward, tensordot gradients, col2im summed filter tap by
+    filter tap. The weight gradient is summed over chunks of one clip's
+    output rows, the most that fit in 1024 patch rows, clip by clip and
+    top to bottom, each chunk laid out as the layer lays it out: offset-
+    major (column-major) for one input channel and ow > fw, as OpenBLAS
+    can round a small gemm's transposed operand differently. The last
+    item sums the weight gradient in one tensordot instead."""
     fh, fw, cin, cout = layer.weights.shape
     n, h, w, _ = x.shape
     oh, ow = h - fh + 1, w - fw + 1
@@ -533,13 +558,21 @@ def _row_major_reference(layer, x, d_out):
     z = cols @ weights + layer.biases
     y = np.maximum(z, 0.0).reshape(n, oh, ow, cout)
     dz = np.where(z > 0.0, d_out.reshape(-1, cout), 0.0)
-    d_w = np.tensordot(cols, dz, axes=([0], [0])).reshape(layer.weights.shape)
+    chunk = max(1, 1024 // ow) * ow
+    layout = np.asfortranarray if cin == 1 and ow > fw else np.ascontiguousarray
+    d_w = np.zeros_like(weights)
+    for clip in range(0, n * oh * ow, oh * ow):
+        for start in range(clip, clip + oh * ow, chunk):
+            stop = min(start + chunk, clip + oh * ow)
+            d_w += np.tensordot(layout(cols[start:stop]), dz[start:stop], axes=([0], [0]))
+    d_w_unchunked = np.tensordot(cols, dz, axes=([0], [0]))
     d_cols = np.tensordot(dz, weights, axes=([1], [1])).reshape(n, oh, ow, fh, fw, cin)
     d_x = np.zeros(x.shape, dtype=d_out.dtype)
     for a in range(fh):
         for b in range(fw):
             d_x[:, a : a + oh, b : b + ow, :] += d_cols[:, :, :, a, b, :]
-    return y, d_w, dz.sum(axis=0), d_x
+    shape = layer.weights.shape
+    return y, d_w.reshape(shape), dz.sum(axis=0), d_x, d_w_unchunked.reshape(shape)
 
 
 # conv1 on a full window (offset-major patches), conv1 on a 70 ms stream
@@ -559,9 +592,31 @@ def test_conv_is_row_major_reference_bit_for_bit_at_network_size(dtype, w_shape,
     y, cache = layer.forward(x, "train")
     d_out = rng.normal(size=y.shape).astype(dtype)
     d_x, grads = layer.backward(d_out, cache)
-    want_y, want_w, want_b, want_x = _row_major_reference(layer, x, d_out)
+    want_y, want_w, want_b, want_x, unchunked_w = _row_major_reference(layer, x, d_out)
     assert_same_bits(y, want_y)
     assert_same_bits(layer.forward(x, "infer")[0], want_y)
+    assert_same_bits(grads["c.weights"], want_w)
+    assert_same_bits(grads["c.biases"], want_b)
+    assert_same_bits(d_x, want_x)
+    # the chunks change only the weight gradient's summation order
+    scale = np.abs(unchunked_w).max()
+    assert np.abs(grads["c.weights"] - unchunked_w).max() <= 64 * np.finfo(dtype).eps * scale
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cin", [1, 2])
+def test_conv_weight_gradient_chunks_that_end_a_clip_short(dtype, cin):
+    # ow 298 gives 3-row chunks, and a clip's 38 output rows end in a
+    # 2-row chunk; one channel lowers offset-major, two row-major
+    rng = np.random.default_rng(43)
+    layer = Conv2D("c", rng.normal(size=(3, 3, cin, 2)).astype(dtype),
+                   rng.normal(size=2).astype(dtype))
+    x = rng.normal(size=(2, 40, 300, cin)).astype(dtype)
+    y, cache = layer.forward(x, "train")
+    d_out = rng.normal(size=y.shape).astype(dtype)
+    d_x, grads = layer.backward(d_out, cache)
+    want_y, want_w, want_b, want_x, _ = _row_major_reference(layer, x, d_out)
+    assert_same_bits(y, want_y)
     assert_same_bits(grads["c.weights"], want_w)
     assert_same_bits(grads["c.biases"], want_b)
     assert_same_bits(d_x, want_x)

@@ -276,12 +276,48 @@ def test_dense_only_backward_skipping_input_grad_keeps_every_gradient_bit():
     _assert_backward_matches_reference(net, rng.normal(size=(4, 6)), [0, 1, 2, 0])
 
 
+# Conv weight gradients are summed over fixed chunks of patch rows (see
+# `layers.Conv2D`), so OpenBLAS's thread count cannot change their bits;
+# one gemm over every patch row of the batch gave different bits at 1 and
+# 2 threads.
+GRAD_BITS_SCRIPT = """
+import hashlib
+import numpy as np
+from voicehand.network import INPUT_SHAPE, build_network
+from voicehand.train import one_hot
+
+for dtype in (np.float32, np.float64):
+    for n in (3, 5, 16):
+        net = build_network(seed=31, dtype=dtype)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n,) + INPUT_SHAPE)
+        _, trace = net.forward(x, "train", dropout_rng=rng)
+        grads = net.backward(trace, one_hot(rng.integers(9, size=n), dtype=dtype))
+        for name in ("conv1.weights", "conv2.weights"):
+            digest = hashlib.sha256(grads[name].tobytes()).hexdigest()
+            print(np.dtype(dtype).name, n, name, digest)
+"""
+
+
+def test_conv_weight_gradients_do_not_depend_on_the_blas_thread_count():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", GRAD_BITS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 12
+    assert outputs[0] == outputs[1]
+
+
 # sha256 of infer-mode probabilities at batch 1, 3 and 64, then of every
 # (offset, probabilities) pair `window_probs` yields at the 70 ms (cached)
 # and 500 ms (per-window) hops, for a fresh network with scrambled
 # batch-norm statistics. Recorded while conv and pool still built their
 # training caches in infer mode, so it pins the infer path to the bit.
-# One BLAS thread, in its own process, as for TWO_EPOCH_DIGEST.
+# One BLAS thread, in a process of its own.
 INFER_DIGEST = "6f41bf1398c89a8c63345def26f085c258853316db9dc0c0691abeda81b88fb8"
 
 INFER_SCRIPT = """
@@ -334,3 +370,24 @@ def test_infer_forward_keeps_no_batch_sized_patch_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_train_step_keeps_no_patch_matrix():
+    # conv1's batch-16 patch matrix alone is 35 MiB of float32; train mode
+    # caches conv1's input and ReLU mask, and backward lowers the patches
+    # again in chunks of 15 output rows
+    net = build_network(seed=3)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(16,) + INPUT_SHAPE).astype(np.float32)
+    targets = one_hot(rng.integers(9, size=16), dtype=np.float32)
+    net.backward(net.forward(x[:1], "train", dropout_rng=rng)[1], targets[:1])
+    tracemalloc.start()
+    try:
+        _, trace = net.forward(x, "train", dropout_rng=rng)
+        alive = tracemalloc.get_traced_memory()[0]
+        net.backward(trace, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alive < 4 * 2**20
+    assert peak < 20 * 2**20

@@ -215,7 +215,7 @@ def test_training_reduces_loss_on_tiny_problem(tmp_path, tiny_tree):
 
 
 def test_train_epoch_frees_each_step_trace_before_the_next_forward(tiny_tree):
-    # a live trace holds conv1's patch matrix, 140 MB at batch 64
+    # a live trace holds every layer's cache, 8 MiB at batch 64
     index = index_dataset(tiny_tree)
     entries = index.split_entries("train")
     config = TrainConfig(batch_size=3, seed=7, augment=False)
@@ -237,12 +237,10 @@ def test_train_epoch_frees_each_step_trace_before_the_next_forward(tiny_tree):
 
 
 # Two epochs on a small tone set, with augmentation and a partial last
-# batch. The digest was recorded before the first layer stopped computing
-# its input gradient, so it pins forward, backward and Adam to the bit.
-# The summation order of OpenBLAS's float32 matmuls depends on its thread
-# count (1 and 2 threads give different digests), so the run gets its
-# own process with one BLAS thread.
-TWO_EPOCH_DIGEST = "e08e4bbeed4cc82fd594b95e7f40411a6a15f0841bfb4ca40a8c7a27c1099b73"
+# batch, run in a process of its own at 1 and at 2 BLAS threads. The
+# digest pins forward, backward and Adam to the bit; it was recorded when
+# the conv weight gradients began summing over fixed chunks.
+TWO_EPOCH_DIGEST = "9c9ce0ad22bbe441b15d2c507ea2c3019ba40f484b2250fd2ddc0b89eb384005"
 
 TWO_EPOCH_SCRIPT = """
 import hashlib, sys
@@ -268,9 +266,11 @@ print(digest.hexdigest())
 """
 
 
-def test_two_epochs_are_bit_identical_to_pinned_digest(tmp_path):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_two_epochs_are_bit_identical_to_pinned_digest(tmp_path, threads):
     root = write_tone_dataset(tmp_path / "tones", clips_per_class=6, seed=23)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads)
     proc = subprocess.run([sys.executable, "-c", TWO_EPOCH_SCRIPT, str(root)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
