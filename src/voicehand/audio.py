@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyNoisePool
+from .errors import VoicehandError
 from .wav import AudioClip, read_wav
 
 WINDOW_SAMPLES = 16000
@@ -63,7 +63,7 @@ def mix_noise(window: np.ndarray, pool: NoisePool, gain: float, offset_seed: int
     if gain == 0.0:
         return np.array(window, dtype=np.float64)
     if len(pool) == 0:
-        raise EmptyNoisePool("noise mixing requested but the pool is empty")
+        raise VoicehandError("noise mixing requested but the pool is empty")
     rng = np.random.default_rng(offset_seed)
     clip = pool.clips[int(rng.integers(len(pool.clips)))]
     start = int(rng.integers(len(clip) - WINDOW_SAMPLES + 1))

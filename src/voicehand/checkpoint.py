@@ -22,14 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import (
-    BadMagic,
-    NegativeVariance,
-    NonFinitePayload,
-    SpecMismatch,
-    TruncatedPayload,
-    UnsupportedVersion,
-)
+from .errors import CheckpointError
 from .gestures import CLASS_NAMES
 from .network import ARCH, INPUT_SHAPE, Network
 
@@ -54,11 +47,11 @@ def _check_payload(values: np.ndarray, tensors, path) -> None:
     and every batch-norm moving variance at least 0, as training's
     running average always is."""
     if not np.isfinite(values).all():
-        raise NonFinitePayload(f"{path}: payload holds a NaN or infinite value")
+        raise CheckpointError(f"{path}: payload holds a NaN or infinite value")
     offset = 0
     for name, a in tensors:
         if name.endswith(".moving_var") and (values[offset : offset + a.size] < 0).any():
-            raise NegativeVariance(f"{path}: {name} holds a value below 0")
+            raise CheckpointError(f"{path}: {name} holds a value below 0")
         offset += a.size
 
 
@@ -81,19 +74,19 @@ def _parse(data: bytes, path) -> tuple:
     """(header, payload bytes) of a checkpoint file's contents; validates
     everything before the payload."""
     if len(data) < 12 or data[:4] != MAGIC:
-        raise BadMagic(f"{path}: not a weight checkpoint")
+        raise CheckpointError(f"{path}: not a weight checkpoint")
     version, header_len = struct.unpack("<II", data[4:12])
     if version != FORMAT_VERSION:
-        raise UnsupportedVersion(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+        raise CheckpointError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
     raw = data[12 : 12 + header_len]
     if len(raw) < header_len:
-        raise TruncatedPayload(f"{path}: header cut short")
+        raise CheckpointError(f"{path}: header cut short")
     try:
         header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
-        raise SpecMismatch(f"{path}: unreadable header: {e}") from e
+        raise CheckpointError(f"{path}: unreadable header: {e}") from e
     if not isinstance(header, dict):
-        raise SpecMismatch(f"{path}: header is not a JSON object")
+        raise CheckpointError(f"{path}: header is not a JSON object")
     return header, data[12 + header_len :]
 
 
@@ -110,10 +103,10 @@ def load_checkpoint(path, network: Network) -> dict:
     expected = _header(tensors, None)
     for key in ("arch", "input_shape", "class_names", "tensors"):
         if header.get(key) != expected[key]:
-            raise SpecMismatch(f"{path}: {key} differs from this network")
+            raise CheckpointError(f"{path}: {key} differs from this network")
     count = sum(a.size for _, a in tensors)
     if len(payload) != 4 * count:
-        raise TruncatedPayload(f"{path}: payload holds {len(payload) // 4} floats, expected {count}")
+        raise CheckpointError(f"{path}: payload holds {len(payload) // 4} floats, expected {count}")
     values = np.frombuffer(payload, dtype="<f4")
     _check_payload(values, tensors, path)
     offset = 0

@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # an overflow surfaces as the NonFiniteOutput it leads to, not a warning
+        # an overflow surfaces as the CheckpointError it leads to, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except (VoicehandError, OSError) as e:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .audio import WINDOW_SAMPLES, to_window, to_window_values
-from .errors import ChannelOutOfRange, CodeOutOfRange, DuplicateChannel
+from .errors import VoicehandError
 from .features import FEATURE_SHAPE, HOP, log_compress, stft_power
 from .gestures import (DEFAULT_CHANNEL_MAP, FINGERS, FingerTrajectory, GestureClass, GestureTable,
                        lookup_trajectory)
@@ -61,12 +61,12 @@ def encode_dac_frames(codes, channel_map=DEFAULT_CHANNEL_MAP) -> tuple:
     for finger, code in zip(FINGERS, codes):
         channel = channel_map[finger]
         if not 0 <= channel <= 7:
-            raise ChannelOutOfRange(f"{finger}: channel {channel} outside 0..7")
+            raise VoicehandError(f"{finger}: channel {channel} outside 0..7")
         if channel in seen:
-            raise DuplicateChannel(f"{finger} and {seen[channel]} both wired to channel {channel}")
+            raise VoicehandError(f"{finger} and {seen[channel]} both wired to channel {channel}")
         seen[channel] = finger
         if not 0 <= code <= CODE_MAX:
-            raise CodeOutOfRange(f"{finger}: code {code} outside 0..{CODE_MAX}")
+            raise VoicehandError(f"{finger}: code {code} outside 0..{CODE_MAX}")
         frames.append(DacFrame(channel=channel, code=int(code)))
     return tuple(frames)
 

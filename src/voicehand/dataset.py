@@ -3,13 +3,15 @@
 Expected layout: one folder per word containing WAV files, a
 _background_noise_ folder, and validation_list.txt / testing_list.txt
 holding one relative path per line (forward slashes). Split membership
-comes from those list files; everything not listed is training data.
+comes from those list files; everything not listed is training data. A
+clip named in both lists goes to val, and a line naming no file is
+ignored.
 """
 
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import EmptyDataset, MissingSplitLists
+from .errors import VoicehandError
 from .gestures import KNOWN_WORDS, GestureClass
 from .rng import substream
 
@@ -34,7 +36,11 @@ class DatasetIndex:
 
 
 def _read_list(path: Path):
-    return {line.strip() for line in path.read_text().splitlines() if line.strip()}
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise VoicehandError(f"{path}: not UTF-8 text: {e}") from e
+    return {line.strip() for line in text.splitlines() if line.strip()}
 
 
 def index_dataset(root) -> DatasetIndex:
@@ -44,7 +50,7 @@ def index_dataset(root) -> DatasetIndex:
     val_list = root / "validation_list.txt"
     test_list = root / "testing_list.txt"
     if not val_list.is_file() or not test_list.is_file():
-        raise MissingSplitLists(f"{root} lacks validation_list.txt / testing_list.txt")
+        raise VoicehandError(f"{root} lacks validation_list.txt / testing_list.txt")
     val_names = _read_list(val_list)
     test_names = _read_list(test_list)
 
@@ -67,7 +73,7 @@ def index_dataset(root) -> DatasetIndex:
             entries.append(Entry(path=wav, label=label, split=split))
 
     if not entries:
-        raise EmptyDataset(f"no labeled WAV files under {root}")
+        raise VoicehandError(f"no labeled WAV files under {root}")
     return DatasetIndex(entries=tuple(entries), noise_files=tuple(noise_files))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .audio import WINDOW_SAMPLES, to_window
-from .errors import BadWindowLength
+from .errors import VoicehandError
 from .wav import AudioClip
 
 SEGMENT_LENGTH = 256  # samples per STFT frame
@@ -39,8 +39,8 @@ def stft_power(window: np.ndarray) -> np.ndarray:
     """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 1 or len(window) < SEGMENT_LENGTH:
-        raise BadWindowLength(f"expected at least {SEGMENT_LENGTH} samples in one "
-                              f"dimension, got shape {window.shape}")
+        raise VoicehandError(f"expected at least {SEGMENT_LENGTH} samples in one "
+                             f"dimension, got shape {window.shape}")
     frames = np.lib.stride_tricks.sliding_window_view(window, SEGMENT_LENGTH)[::HOP]
     coeffs = np.fft.rfft(frames * HANN_WINDOW, axis=1)
     return (coeffs.real**2 + coeffs.imag**2).T

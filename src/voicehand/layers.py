@@ -27,7 +27,7 @@ Conv2D.
 
 import numpy as np
 
-from .errors import EmptyBatch, ShapeMismatch
+from .errors import VoicehandError
 
 # Most patch rows in one chunk of a conv weight gradient (see Conv2D). With
 # OpenBLAS 0.3.31 on 2 cores, chunks of up to 1024 rows gave the same bits
@@ -145,10 +145,10 @@ class Conv2D(Layer):
     def forward(self, x, mode="infer", rng=None):
         fh, fw, cin, cout = self.weights.shape
         if x.ndim != 4 or x.shape[3] != cin:
-            raise ShapeMismatch(f"{self.name}: expected (n, h, w, {cin}), got {x.shape}")
+            raise VoicehandError(f"{self.name}: expected (n, h, w, {cin}), got {x.shape}")
         n, h, w, _ = x.shape
         if h < fh or w < fw:
-            raise ShapeMismatch(f"{self.name}: input {h}x{w} smaller than filter {fh}x{fw}")
+            raise VoicehandError(f"{self.name}: input {h}x{w} smaller than filter {fh}x{fw}")
         oh, ow = h - fh + 1, w - fw + 1
         w = self.weights.reshape(-1, cout)
         z = np.empty((n, oh, ow, cout), dtype=np.result_type(x, self.weights, self.biases))
@@ -240,9 +240,9 @@ class MaxPool2D(Layer):
 
     def forward(self, x, mode="infer", rng=None):
         if x.ndim != 4:
-            raise ShapeMismatch(f"{self.name}: expected 4D input, got {x.shape}")
+            raise VoicehandError(f"{self.name}: expected 4D input, got {x.shape}")
         if x.shape[1] < self.pool_h or x.shape[2] < self.pool_w:
-            raise ShapeMismatch(f"{self.name}: input {x.shape} smaller than pool window")
+            raise VoicehandError(f"{self.name}: input {x.shape} smaller than pool window")
         if mode != "train":
             ph, pw = self.pool_h, self.pool_w
             h, w = x.shape[1] // ph * ph, x.shape[2] // pw * pw
@@ -293,11 +293,13 @@ class BatchNorm(Layer):
 
     def forward(self, x, mode="infer", rng=None):
         if x.shape[-1] != self.gamma.shape[0]:
-            raise ShapeMismatch(f"{self.name}: expected {self.gamma.shape[0]} channels, got {x.shape}")
+            raise VoicehandError(
+                f"{self.name}: expected {self.gamma.shape[0]} channels, got {x.shape}"
+            )
         axes = tuple(range(x.ndim - 1))
         if mode == "train":
             if x.shape[0] == 0:
-                raise EmptyBatch(f"{self.name}: train-mode forward on an empty batch")
+                raise VoicehandError(f"{self.name}: train-mode forward on an empty batch")
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
@@ -352,7 +354,7 @@ class Dense(Layer):
 
     def forward(self, x, mode="infer", rng=None):
         if x.ndim != 2 or x.shape[1] != self.weights.shape[0]:
-            raise ShapeMismatch(
+            raise VoicehandError(
                 f"{self.name}: expected (n, {self.weights.shape[0]}), got {x.shape}"
             )
         z = x @ self.weights + self.biases

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteOutput, ShapeMismatch, StaleTrace
+from .errors import CheckpointError, VoicehandError
 from .features import FEATURE_SHAPE
 from .layers import BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool2D
 from .rng import substream
@@ -94,10 +94,10 @@ class Network:
         The first layer, a Conv2D or Dense, runs with input_grad=False:
         the network input is data, so its gradient would go unread."""
         if trace.version != self.version:
-            raise StaleTrace("network parameters changed since this trace was recorded")
+            raise VoicehandError("network parameters changed since this trace was recorded")
         targets = np.asarray(targets, dtype=self.dtype)
         if targets.shape != trace.probs.shape:
-            raise ShapeMismatch(f"targets {targets.shape} vs probs {trace.probs.shape}")
+            raise VoicehandError(f"targets {targets.shape} vs probs {trace.probs.shape}")
         d = (trace.probs - targets) / trace.probs.shape[0]
         grads = {}
         for layer, cache in zip(self.layers[:0:-1], trace.caches[:0:-1]):
@@ -158,12 +158,12 @@ def build_network(seed=17, dtype=np.float32) -> Network:
 
 def run_layers(layers, h, mode="infer"):
     """Output of `layers` run in order on `h`, keeping no cache. In infer
-    mode an output that is not finite raises `NonFiniteOutput`, as argmax
+    mode an output that is not finite raises `CheckpointError`, as argmax
     would pick its NaN as the decision."""
     for layer in layers:
         h, _ = layer.forward(h, mode)
     if mode == "infer" and not np.isfinite(h).all():
-        raise NonFiniteOutput(f"the network's {layers[-1].name} output is not finite")
+        raise CheckpointError(f"the network's {layers[-1].name} output is not finite")
     return h
 
 

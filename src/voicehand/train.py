@@ -17,7 +17,7 @@ from .adam import Adam
 from .audio import NoisePool, mix_noise, to_window
 from .checkpoint import save_checkpoint
 from .dataset import DatasetIndex
-from .errors import EmptyNoisePool, EmptySplit, EmptyTrainingSplit
+from .errors import VoicehandError
 from .features import log_compress, stft_power
 from .gestures import CLASS_NAMES
 from .network import INPUT_SHAPE, Network
@@ -138,7 +138,7 @@ def evaluate(network: Network, entries, store: ClipStore = None, batch_size: int
     """Inference-mode accuracy and 9x9 confusion matrix (rows true class,
     columns predicted) over `entries`, no augmentation."""
     if not entries:
-        raise EmptySplit("no entries to evaluate")
+        raise VoicehandError("no entries to evaluate")
     store = store or ClipStore()
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     for start in range(0, len(entries), batch_size):
@@ -163,14 +163,14 @@ def fit(network: Network, index: DatasetIndex, config: TrainConfig, out_dir) -> 
     """
     train_entries = index.split_entries("train")
     if not train_entries:
-        raise EmptyTrainingSplit("training split is empty")
+        raise VoicehandError("training split is empty")
     val_entries = index.split_entries("val")
 
     pool = NoisePool(clips=())
     if config.augment:
         pool = NoisePool.from_files(index.noise_files)
         if len(pool) == 0:
-            raise EmptyNoisePool("augmentation enabled but no usable background noise clips")
+            raise VoicehandError("augmentation enabled but no usable background noise clips")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NotRiff, UnsupportedChannels, UnsupportedEncoding, UnsupportedSampleRate
+from .errors import VoicehandError
 
 SAMPLE_RATE = 16000
 
@@ -29,7 +29,7 @@ def decode_wav(data: bytes) -> AudioClip:
     16000 Hz. Unknown chunks are skipped; the first data chunk wins.
     """
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise NotRiff("missing RIFF/WAVE header")
+        raise VoicehandError("missing RIFF/WAVE header")
 
     fmt = None
     pos = 12
@@ -39,25 +39,25 @@ def decode_wav(data: bytes) -> AudioClip:
         body = data[pos + 8 : pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
-                raise UnsupportedEncoding("fmt chunk too short")
+                raise VoicehandError("fmt chunk too short")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             if fmt is None:
-                raise UnsupportedEncoding("data chunk before fmt chunk")
+                raise VoicehandError("data chunk before fmt chunk")
             audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
             if audio_format != 1 or bits != 16:
-                raise UnsupportedEncoding(f"need 16-bit PCM, got format={audio_format} bits={bits}")
+                raise VoicehandError(f"need 16-bit PCM, got format={audio_format} bits={bits}")
             if channels != 1:
-                raise UnsupportedChannels(f"need mono, got {channels} channels")
+                raise VoicehandError(f"need mono, got {channels} channels")
             if rate != SAMPLE_RATE:
-                raise UnsupportedSampleRate(f"need {SAMPLE_RATE} Hz, got {rate}")
+                raise VoicehandError(f"need {SAMPLE_RATE} Hz, got {rate}")
             # a truncated file holds fewer bytes than chunk_size claims
             samples = np.frombuffer(body[: len(body) - len(body) % 2], dtype="<i2")
             return AudioClip(samples=samples.astype(np.int16))
         # chunks are word-aligned: odd sizes carry a pad byte
         pos += 8 + chunk_size + (chunk_size & 1)
 
-    raise NotRiff("no data chunk found")
+    raise VoicehandError("no data chunk found")
 
 
 def read_wav(path) -> AudioClip:

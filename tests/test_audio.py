@@ -14,7 +14,7 @@ from voicehand.audio import (
     to_window,
     to_window_values,
 )
-from voicehand.errors import EmptyNoisePool
+from voicehand.errors import VoicehandError
 from voicehand.wav import AudioClip
 
 
@@ -53,7 +53,7 @@ def test_mix_gain_zero_is_identity_even_with_empty_pool():
 
 
 def test_mix_empty_pool_raises_when_gain_positive():
-    with pytest.raises(EmptyNoisePool):
+    with pytest.raises(VoicehandError, match="noise mixing requested but the pool is empty"):
         mix_noise(np.zeros(WINDOW_SAMPLES), NoisePool(clips=()), gain=0.1, offset_seed=7)
 
 

@@ -610,6 +610,21 @@ def test_train_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("list_name", ["validation_list.txt", "testing_list.txt"])
+def test_split_list_that_is_not_utf8_is_data_error(train_tree, fresh, tmp_path, capsys,
+                                                   command, list_name):
+    (train_tree / list_name).write_bytes(b"zero/w_00.wav\n\xff\xfe\n")
+    argv = {"train": ["train", "--out", str(tmp_path / "run"), "--epochs", "1"],
+            "eval": ["eval", "--checkpoint", str(fresh / "fresh.ckpt"), "--split", "val"]}
+    code, out, err = run_cli(capsys, *argv[command], "--data-dir", str(train_tree))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("data error:") and list_name in err and "not UTF-8" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_deeply_nested_config_is_usage_error(tmp_path, capsys):
     config = tmp_path / "deep.json"
     config.write_bytes(DEEP_JSON)

@@ -17,7 +17,7 @@ from voicehand.commands import (
     recognize_clip,
     trajectory_to_codes,
 )
-from voicehand.errors import ChannelOutOfRange, CodeOutOfRange, DuplicateChannel
+from voicehand.errors import VoicehandError
 from voicehand.gestures import (
     DEFAULT_GESTURES,
     FINGERS,
@@ -108,13 +108,13 @@ def test_custom_channel_map_changes_wire_order():
 
 
 def test_channel_validation():
-    with pytest.raises(ChannelOutOfRange):
+    with pytest.raises(VoicehandError, match=r"thumb: channel 8 outside 0\.\.7"):
         encode_dac_frames((0,) * 5, {"thumb": 8, "index": 1, "middle": 2,
                                      "ring": 3, "little": 4})
-    with pytest.raises(DuplicateChannel):
+    with pytest.raises(VoicehandError, match="index and thumb both wired to channel 1"):
         encode_dac_frames((0,) * 5, {"thumb": 1, "index": 1, "middle": 2,
                                      "ring": 3, "little": 4})
-    with pytest.raises(CodeOutOfRange):
+    with pytest.raises(VoicehandError, match=r"thumb: code 70000 outside 0\.\.65535"):
         encode_dac_frames((70000, 0, 0, 0, 0))
 
 

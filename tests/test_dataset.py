@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from voicehand.dataset import DatasetIndex, Entry, index_dataset, subsample_unknown
-from voicehand.errors import EmptyDataset, MissingSplitLists
+from voicehand.errors import VoicehandError
 from voicehand.gestures import KNOWN_WORDS, GestureClass
 
 from conftest import wav_bytes, write_word_tree
@@ -17,6 +17,9 @@ def counts(index, split):
 
 
 def test_split_membership_follows_list_files(word_tree):
+    # a clip named in both lists goes to val
+    with open(word_tree / "testing_list.txt", "a") as f:
+        f.write("zero/w_00.wav\n")
     index = index_dataset(word_tree)
     by_name = {f"{e.path.parent.name}/{e.path.name}": e for e in index.entries}
     val_names = set((word_tree / "validation_list.txt").read_text().split())
@@ -28,7 +31,9 @@ def test_split_membership_follows_list_files(word_tree):
             assert entry.split == "test"
         else:
             assert entry.split == "train"
-    assert len(val_names) == 3 and len(test_names) == 3
+    assert len(val_names) == 3 and len(test_names) == 4
+    assert "zero/w_00.wav" in val_names & test_names
+    assert by_name["zero/w_00.wav"].split == "val"
 
 
 def test_labels_known_vs_unknown(word_tree):
@@ -62,14 +67,14 @@ def test_counts_per_split(word_tree):
 def test_missing_lists_raise(tmp_path):
     (tmp_path / "zero").mkdir()
     (tmp_path / "zero" / "a.wav").write_bytes(wav_bytes(np.zeros(10, dtype=np.int16)))
-    with pytest.raises(MissingSplitLists):
+    with pytest.raises(VoicehandError, match="lacks validation_list.txt / testing_list.txt"):
         index_dataset(tmp_path)
 
 
 def test_empty_tree_raises(tmp_path):
     (tmp_path / "validation_list.txt").write_text("")
     (tmp_path / "testing_list.txt").write_text("")
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(VoicehandError, match="no labeled WAV files under"):
         index_dataset(tmp_path)
 
 

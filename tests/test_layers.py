@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from voicehand.errors import EmptyBatch, ShapeMismatch
+from voicehand.errors import VoicehandError
 from voicehand.layers import (BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool2D, relu_grad,
                               softmax)
 
@@ -140,9 +140,9 @@ def test_relu_grad_is_where_bit_for_bit(dtype):
 
 def test_conv_rejects_undersized_input():
     _, layer = _small_conv()
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(VoicehandError, match="c: input 2x2 smaller than filter 3x2"):
         layer.forward(np.zeros((1, 2, 2, 3)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(VoicehandError, match=r"c: expected \(n, h, w, 3\), got \(1, 5, 6, 2\)"):
         layer.forward(np.zeros((1, 5, 6, 2)))
 
 
@@ -292,12 +292,12 @@ def test_bn_backward_matches_finite_differences():
 
 
 def test_bn_empty_batch_rejected():
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(VoicehandError, match="train-mode forward on an empty batch"):
         _bn(2).forward(np.zeros((0, 2)), "train")
 
 
 def test_bn_channel_mismatch_rejected():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(VoicehandError, match=r"expected 4 channels, got \(2, 3\)"):
         _bn(4).forward(np.zeros((2, 3)), "train")
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import voicehand.network
 
-from voicehand.errors import NonFiniteOutput, ShapeMismatch, StaleTrace
+from voicehand.errors import CheckpointError, VoicehandError
 from voicehand.network import (
     INPUT_SHAPE,
     REFERENCE_LAYER_PARAMS,
@@ -97,7 +97,7 @@ def test_infer_forward_refuses_output_that_is_not_finite():
         # training steps are not checked
         probs, trace = net.forward(x, mode="train", dropout_rng=np.random.default_rng(0))
         assert trace is not None and not np.isfinite(probs).all()
-        with pytest.raises(NonFiniteOutput, match="dense2 output is not finite"):
+        with pytest.raises(CheckpointError, match="dense2 output is not finite"):
             net.forward(x, mode="infer")
 
 
@@ -181,7 +181,7 @@ def test_stale_trace_refused_after_mutation():
     x = np.zeros((2,) + INPUT_SHAPE)
     _, trace = net.forward(x, mode="train", dropout_rng=substream(0, "dropout", 0, 0))
     net.mark_mutated()
-    with pytest.raises(StaleTrace):
+    with pytest.raises(VoicehandError, match="parameters changed since this trace was recorded"):
         net.backward(trace, one_hot([0, 1]))
 
 
@@ -189,7 +189,7 @@ def test_target_shape_mismatch_refused():
     net = build_network(seed=17)
     _, trace = net.forward(np.zeros((2,) + INPUT_SHAPE), mode="train",
                            dropout_rng=substream(0, "dropout", 0, 0))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(VoicehandError, match=r"targets \(3, 9\) vs probs \(2, 9\)"):
         net.backward(trace, one_hot([0, 1, 2]))
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from voicehand.adam import Adam
 from voicehand.dataset import index_dataset
-from voicehand.errors import EmptyNoisePool, EmptySplit, EmptyTrainingSplit, NonFiniteOutput
+from voicehand.errors import CheckpointError, VoicehandError
 from voicehand.gestures import GestureClass
 from voicehand.network import build_network
 from voicehand.synth import write_tone_dataset
@@ -159,14 +159,15 @@ def test_fit_empty_training_split_raises(tmp_path, tiny_tree):
         entries=tuple(e for e in index.entries if e.split == "val"),
         noise_files=index.noise_files,
     )
-    with pytest.raises(EmptyTrainingSplit):
+    with pytest.raises(VoicehandError, match="training split is empty"):
         fit(_small_net(), only_val, TrainConfig(epochs=1), tmp_path / "x")
 
 
 def test_fit_augment_without_noise_raises(tmp_path, tiny_tree):
     index = index_dataset(tiny_tree)
     bare = type(index)(entries=index.entries, noise_files=())
-    with pytest.raises(EmptyNoisePool):
+    with pytest.raises(VoicehandError,
+                       match="augmentation enabled but no usable background noise clips"):
         fit(_small_net(), bare, TrainConfig(epochs=1, augment=True), tmp_path / "x")
     # augmentation off: same tree trains fine
     fit(_small_net(), bare, TrainConfig(epochs=1, batch_size=4, augment=False),
@@ -182,7 +183,8 @@ def test_fit_stops_when_validation_outputs_are_not_finite(tmp_path):
     net["conv1"].weights[...] = 3e38
     out = tmp_path / "run"
     config = TrainConfig(epochs=2, batch_size=4, seed=7, augment=False)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteOutput):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            CheckpointError, match="dense2 output is not finite"):
         fit(net, index, config, out)
     assert not (out / "best.ckpt").exists()
     assert not (out / "final.ckpt").exists()
@@ -202,7 +204,7 @@ def test_evaluate_confusion_accounting(tiny_tree):
 
 
 def test_evaluate_empty_split_raises():
-    with pytest.raises(EmptySplit):
+    with pytest.raises(VoicehandError, match="no entries to evaluate"):
         evaluate(_small_net(), [])
 
 
