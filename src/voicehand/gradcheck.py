@@ -69,7 +69,7 @@ def _relu_margin(layer, x) -> float:
     pre-activations are taken clip by clip, as its forward takes them."""
     w = layer.weights.reshape(-1, layer.weights.shape[-1])
     if hasattr(layer, "lowered"):
-        parts = (cols @ w for _, _, cols in layer.lowered(x, x.shape[1]))
+        parts = (cols @ w for _, cols in layer.lowered(x))
     else:
         parts = (x @ w,)
     return float(min(np.abs(z + layer.biases).min() for z in parts))

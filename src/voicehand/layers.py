@@ -12,28 +12,33 @@ MaxPool2D, BatchNorm and Dropout return None as their cache: MaxPool2D
 takes a plain max without recording where it was, BatchNorm uses its
 moving statistics and Dropout passes its input through. Conv2D runs the
 same loop in both modes and keeps no patches in either; in train mode it
-caches its input and ReLU mask, and backward lowers the patches again.
-Backward needs a train-mode cache.
+caches its input and ReLU mask. Backward needs a train-mode cache.
 
-Conv2D lowers its input to (rows, fh·fw·cin) patch matrices, one clip
-or one chunk of a clip at a time into one reused buffer, and runs the
-convolution as matmuls on them. How a buffer lies in memory follows the
-input: offset-major for one channel wider than the filter (conv1 on a
-full window, whose patch copies are most of a training step), row-major
-otherwise (conv2). The layout changes no bit of full-window inference;
-conv1's weight gradient rounds as its offset-major chunks give it. See
-Conv2D.
+Every backward returns a dense input gradient except MaxPool2D's: a
+pool tile passes its gradient to one input, its winner, so the pool
+returns a `Routed` gradient listing the winners, and the Conv2D below
+reads its ReLU mask and gathers patches at those positions only.
+
+Conv2D's forward lowers its input to (rows, fh·fw·cin) patch matrices,
+one clip at a time into one reused buffer, and runs the convolution as
+matmuls on them. How a buffer lies in memory follows the input:
+offset-major for one channel wider than the filter (conv1 on a full
+window), row-major otherwise (conv2). The layout changes no bit of
+full-window inference. See Conv2D.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import VoicehandError
 
 # Most patch rows in one chunk of a conv weight gradient (see Conv2D). With
-# OpenBLAS 0.3.31 on 2 cores, chunks of up to 1024 rows gave the same bits
-# at 1 and 2 threads, and chunks of 1950 or 2600 did not;
-# tests/test_network.py checks the thread counts against each other.
-CHUNK_ROWS = 1024
+# OpenBLAS 0.3.31 on 2 cores, the (rows, 280)ᵀ @ (rows, 32) gemm of conv2
+# gave the same bits at 1 and 2 threads up to 384 rows, and not from 385
+# (float64) or 449 (float32) rows on; tests/test_network.py checks the
+# thread counts against each other.
+CHUNK_ROWS = 384
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -90,48 +95,87 @@ class Layer:
         return {f"{self.name}.{a}": v for a, v in zip(self.PARAMS, values)}
 
 
+class Routed(NamedTuple):
+    """A gradient with respect to a (n, h, w, c) tensor, zero except at
+    listed positions: entry [i, k, ch] of `grad` is the gradient at flat
+    position `pos[i, k, ch]`, r·w + q, of clip i's (h, w) plane in
+    channel ch. A position is listed at most once per clip and channel.
+
+    MaxPool2D.backward returns one listing each tile's winner, so the
+    conv layer below reads its ReLU mask and patches at the winners only.
+    `Routed.of` lists every position of a dense gradient, the one
+    conversion a dense gradient handed to a conv layer takes."""
+
+    shape: tuple
+    pos: np.ndarray
+    grad: np.ndarray
+
+    @classmethod
+    def of(cls, d):
+        """d itself if it is Routed; else every position of the dense d."""
+        if isinstance(d, cls):
+            return d
+        n, h, w, c = d.shape
+        pos = np.broadcast_to(np.arange(h * w)[:, None], (n, h * w, c))
+        return cls(d.shape, pos, d.reshape(n, h * w, c))
+
+    def dense(self):
+        """The gradient as a (n, h, w, c) array, +0.0 where nothing is listed."""
+        n, h, w, c = self.shape
+        out = np.zeros((n, h * w, c), dtype=self.grad.dtype)
+        np.put_along_axis(out, self.pos, self.grad, axis=1)
+        return out.reshape(self.shape)
+
+
 class Conv2D(Layer):
     """Valid (no padding) cross-correlation, stride 1, ReLU activation.
 
     Weights are (filter_h, filter_w, in_channels, out_channels). Input
     patches are lowered to (rows, fh·fw·cin) matrices, one row per output
     position and columns in the weight layout's order, so the contraction
-    is `cols @ W` and the weight gradient `cols.T @ dz`. No patch matrix
-    outlives a call: `lowered` fills one reused buffer chunk by chunk.
+    is `cols @ W` and the weight gradient `cols.T @ dz`.
 
-    Forward, in either mode, is one loop over the clips: lower the clip,
-    matmul, add the bias, ReLU. Per-clip matmuls give a batch-wide
-    matmul's bits, as a gemm sums each output over the same taps in the
-    same order whatever its row count. Train mode caches the input and
-    the ReLU mask, (x, active): 6 MiB for conv1 at batch 64, against 133
-    MiB for its whole patch matrix. Infer mode caches nothing (None).
+    Forward, in either mode, is one loop over the clips: lower the clip
+    into one reused buffer, matmul, add the bias, ReLU. Per-clip matmuls
+    give a batch-wide matmul's bits, as a gemm sums each output over the
+    same taps in the same order whatever its row count. Train mode
+    caches the input and the ReLU mask, (x, active): 6 MiB for conv1 at
+    batch 64, against 133 MiB for its whole patch matrix. Infer mode
+    caches nothing (None).
 
-    Backward lowers the patches again from the cached input, which must
-    not change between the two calls. The weight gradient is summed
-    chunk by chunk, `d_w += cols_k.T @ dz_k`, clip by clip and top to
-    bottom. A chunk is the most whole output rows of one clip that fit
-    in CHUNK_ROWS patch rows: 15 rows (975 patch rows) for conv1 on a
-    full window, a whole clip (99) for conv2. Fixing the chunks fixes the
-    summation order: one gemm over every patch row of the batch is split
-    by OpenBLAS in a way that depends on its thread count, and gave
-    different weight-gradient bits at 1 and 2 threads. As a network's
-    first layer Conv2D runs backward with input_grad=False, which skips
-    col2im: the patch-gradient matmul and the scatter loop that sums it
-    back into an input-shaped gradient.
+    Backward takes the output gradient as a `Routed` (a dense one goes
+    through `Routed.of`). Below a max pool only each tile's winner has a
+    gradient, 1 in 35 conv1 outputs. Backward reads the ReLU mask at the
+    listed entries only; a tile whose ReLU outputs are all 0 lists its
+    first position, whose mask is off, so it passes no gradient. It
+    gathers the patches of the rows listed in some channel, in row-major
+    order, from the cached input, which must not change between the two
+    calls: a patch is fh runs of fw·cin neighbouring input values, copied
+    a run at a time. The bias gradient sums the masked gradient over the
+    listed entries. The weight gradient is summed chunk by chunk, `d_w
+    += cols_k.T @ dz_k`, over CHUNK_ROWS gathered rows at a time (the
+    last chunk shorter), in order. Fixing the chunks fixes the summation
+    order: one gemm over every row of the batch is split by OpenBLAS in
+    a way that depends on its thread count, and gave different
+    weight-gradient bits at 1 and 2 threads. The input gradient fills
+    the masked gradient into a dense (n·oh·ow, cout) array, multiplies
+    it by one filter tap's (cin, cout) weights at a time and adds each
+    product at its tap's offset, so each add runs over rows of ow·cin
+    contiguous values. As a network's first layer Conv2D runs backward
+    with input_grad=False, which skips the input gradient.
 
-    A patch buffer's memory layout is the one whose filling copies the
-    longer contiguous runs of input. With one input channel and ow > fw
-    it is offset-major, the transpose of a C-contiguous (fh·fw·cin, rows)
-    buffer: each filter tap copies runs of ow neighbouring input values,
-    and the weight gradient reads the buffer as it lies. Otherwise it is
-    row-major, one run of fw·cin values per patch row. Conv1 on a full
-    129x71 window copies runs of 65 values instead of 7. Conv2 (8
-    channels) and conv1 on a 70 ms stream hop's 11 frames (ow 5) stay
-    row-major: an offset-major run there is strided by cin or shorter
-    than fw, and measured slower. Both layouts feed the gemms the same
-    values, but OpenBLAS can round a small gemm on a transposed operand
-    differently in the last bit: the weight-gradient chunks do, and so
-    does one forward call (`commands.window_probs` names it).
+    A forward patch buffer's memory layout is the one whose filling
+    copies the longer contiguous runs of input. With one input channel
+    and ow > fw it is offset-major, the transpose of a C-contiguous
+    (fh·fw·cin, rows) buffer: each filter tap copies runs of ow
+    neighbouring input values. Otherwise it is row-major, one run of
+    fw·cin values per patch row. Conv1 on a full 129x71 window copies
+    runs of 65 values instead of 7. Conv2 (8 channels) and conv1 on a
+    70 ms stream hop's 11 frames (ow 5) stay row-major: an offset-major
+    run there is strided by cin or shorter than fw, and measured slower.
+    Both layouts feed the gemm the same values, but OpenBLAS can round a
+    small gemm on a transposed operand differently in the last bit: one
+    forward call does (`commands.window_probs` names it).
     """
 
     PARAMS = ("weights", "biases")
@@ -152,38 +196,36 @@ class Conv2D(Layer):
         oh, ow = h - fh + 1, w - fw + 1
         w = self.weights.reshape(-1, cout)
         z = np.empty((n, oh, ow, cout), dtype=np.result_type(x, self.weights, self.biases))
-        for i, _, cols in self.lowered(x, oh):
+        # the bias once per output row: the adds of `+= biases` over (oh·ow, cout)
+        row_bias = np.tile(self.biases, ow)
+        for i, cols in self.lowered(x):
             zi = z[i].reshape(-1, cout)
             np.matmul(cols, w, out=zi)
-            zi += self.biases
+            z_rows = z[i].reshape(oh, -1)
+            z_rows += row_bias
             np.maximum(zi, 0.0, out=zi)
         if mode != "train":
             return z, None
         return z, (x, z > 0.0)
 
-    def lowered(self, x, rows):
-        """x's patch matrices in chunks of at most `rows` output rows of
-        one clip, clip by clip and top to bottom: yields (clip, the
-        chunk's k output rows as a slice, cols), cols a (k·ow, fh·fw·cin)
-        view of one buffer that the next chunk overwrites."""
+    def lowered(self, x):
+        """x's patch matrices clip by clip: yields (clip, cols), cols a
+        (oh·ow, fh·fw·cin) view of one buffer that the next clip
+        overwrites."""
         fh, fw, _, _ = self.weights.shape
-        oh, ow = x.shape[1] - fh + 1, x.shape[2] - fw + 1
         patches = np.lib.stride_tricks.sliding_window_view(x, (fh, fw), axis=(1, 2))
         # (n, oh, ow, cin, fh, fw) -> (n, oh, ow, fh, fw, cin), the weight layout's order
         patches = patches.transpose(0, 1, 2, 4, 5, 3)
-        cols, slots = self._patch_matrix(min(rows, oh), ow, x.dtype)
+        cols, slots = self._patch_matrix(*patches.shape[1:3], x.dtype)
         for i in range(x.shape[0]):
-            for r in range(0, oh, rows):
-                k = min(rows, oh - r)
-                slots[:k] = patches[i, r : r + k]
-                yield i, slice(r, r + k), cols[: k * ow]
+            slots[...] = patches[i]
+            yield i, cols
 
     def _patch_matrix(self, oh, ow, dtype):
         """An empty (oh·ow, fh·fw·cin) patch matrix and a view of its
-        memory shaped (oh, ow, fh, fw, cin) to copy patches into; the
-        first k·ow matrix rows are the view's first k rows. Offset-major
-        when that copies the longer contiguous runs: one input channel
-        and ow > fw; row-major otherwise."""
+        memory shaped (oh, ow, fh, fw, cin) to copy patches into.
+        Offset-major when that copies the longer contiguous runs: one
+        input channel and ow > fw; row-major otherwise."""
         fh, fw, cin, _ = self.weights.shape
         rows, taps = oh * ow, fh * fw * cin
         if cin == 1 and ow > fw:
@@ -196,33 +238,54 @@ class Conv2D(Layer):
         x, active = cache
         fh, fw, cin, cout = self.weights.shape
         n, oh, ow, _ = active.shape
-        dz = relu_grad(d_out, active)
+        plane = oh * ow
+        routed = Routed.of(d_out)
+        at = routed.pos + np.arange(0, n * plane, plane)[:, None, None]  # row in (n·oh·ow)
+        entry = at * cout + np.arange(cout)  # element of (n, oh, ow, cout)
+        dz = relu_grad(routed.grad, active.reshape(-1).take(entry))
+        # the rows listed in some channel, in order, and the masked gradient on each
+        listed = np.zeros(n * plane, dtype=bool)
+        listed[at] = True
+        rows = np.flatnonzero(listed)
+        rank = np.cumsum(listed, dtype=np.int32) - 1
+        dz_rows = np.zeros((rows.size, cout), dtype=dz.dtype)
+        dz_rows.reshape(-1)[rank[at] * cout + np.arange(cout)] = dz
+        h, w = x.shape[1:3]
+        flat_x = x.reshape(-1)
+        run = np.dtype((np.void, fw * cin * flat_x.itemsize))
+        runs = np.lib.stride_tricks.sliding_window_view(flat_x, fw * cin).view(run)[:, 0]
+        clip, p = np.divmod(rows, plane)
+        first = ((clip * h + p // ow) * w + p % ow) * cin  # each row's first input value
+        run_starts = np.arange(fh) * w * cin
         d_w = np.zeros((fh * fw * cin, cout), dtype=np.result_type(x, dz))
-        for i, rows, cols in self.lowered(x, max(1, CHUNK_ROWS // ow)):
-            d_w += cols.T @ dz[i, rows].reshape(-1, cout)
-        dz = dz.reshape(-1, cout)
-        grads = self.grads(d_w.reshape(self.weights.shape), dz.sum(axis=0))
+        for k in range(0, rows.size, CHUNK_ROWS):
+            cols = runs[first[k : k + CHUNK_ROWS, None] + run_starts].view(x.dtype)
+            d_w += cols.reshape(-1, fh * fw * cin).T @ dz_rows[k : k + CHUNK_ROWS]
+        grads = self.grads(d_w.reshape(self.weights.shape), dz.sum(axis=(0, 1)))
         if not input_grad:
             return None, grads
-        d_cols = (dz @ self.weights.reshape(-1, cout).T).reshape(n, oh, ow, fh, fw, cin)
-        d_x = np.zeros(x.shape, dtype=d_out.dtype)
+        dz_all = routed._replace(grad=dz).dense().reshape(-1, cout)
+        d_x = np.zeros(x.shape, dtype=dz.dtype)
         for a in range(fh):
             for b in range(fw):
-                d_x[:, a : a + oh, b : b + ow, :] += d_cols[:, :, :, a, b, :]
+                d_x[:, a : a + oh, b : b + ow, :] += (dz_all @ self.weights[a, b].T).reshape(
+                    n, oh, ow, cin)
         return d_x, grads
 
 
 class MaxPool2D(Layer):
     """Non-overlapping max pooling; trailing rows/columns that do not fill
     a window are dropped. In train mode the cache records the winning
-    position per window so backward routes gradient to exactly one input
-    (first max on ties), conserving gradient mass. Infer mode caches
-    nothing (None): it takes np.maximum over the pool_w column offsets,
-    then over the pool_h row offsets, of strided views of the input,
-    with the running max as the second operand. np.maximum returns its
-    second operand when the two are equal (+0.0 and -0.0 included), so a
-    later value replaces the running max only when it is greater, which
-    is argmax's first-max rule: both modes give the same bits."""
+    position per window (first max on ties), and backward returns a
+    `Routed` gradient that lists each winner and the output gradient at
+    it: gradient mass is conserved, and no input-shaped array is built.
+    Infer mode caches nothing (None): it takes np.maximum over the
+    pool_w column offsets, then over the pool_h row offsets, of strided
+    views of the input, with the running max as the second operand.
+    np.maximum returns its second operand when the two are equal (+0.0
+    and -0.0 included), so a later value replaces the running max only
+    when it is greater, which is argmax's first-max rule: both modes
+    give the same bits."""
 
     def __init__(self, name, pool_h, pool_w):
         super().__init__(name)
@@ -263,12 +326,10 @@ class MaxPool2D(Layer):
         n, h, w, c = x_shape
         ph, pw = self.pool_h, self.pool_w
         oh, ow = h // ph, w // pw
-        d_tiles = np.zeros((n, oh, ow, ph * pw, c), dtype=d_out.dtype)
-        np.put_along_axis(d_tiles, argmax[:, :, :, None, :], d_out[:, :, :, None, :], axis=3)
-        d_crop = d_tiles.reshape(n, oh, ow, ph, pw, c).transpose(0, 1, 3, 2, 4, 5)
-        d_x = np.zeros(x_shape, dtype=d_out.dtype)
-        d_x[:, : oh * ph, : ow * pw, :] = d_crop.reshape(n, oh * ph, ow * pw, c)
-        return d_x, {}
+        corner = (np.arange(oh)[:, None] * ph * w + np.arange(ow) * pw).reshape(-1, 1)
+        in_tile = (np.arange(ph)[:, None] * w + np.arange(pw)).ravel()
+        pos = corner + in_tile[argmax.reshape(n, oh * ow, c)]
+        return Routed(x_shape, pos, d_out.reshape(n, oh * ow, c)), {}
 
 
 class BatchNorm(Layer):

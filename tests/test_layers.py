@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from voicehand.errors import VoicehandError
-from voicehand.layers import (BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool2D, relu_grad,
-                              softmax)
+from voicehand.layers import (CHUNK_ROWS, BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool2D,
+                              Routed, relu_grad, softmax)
 
 from conftest import assert_same_grad_bits
 
@@ -176,7 +176,8 @@ def test_pool_backward_routes_to_argmax_and_conserves_mass():
     layer = MaxPool2D("p", 2, 3)
     y, cache = layer.forward(x, "train")
     d_out = rng.normal(size=y.shape)
-    d_x, grads = layer.backward(d_out, cache)
+    routed, grads = layer.backward(d_out, cache)
+    d_x = routed.dense()
     assert grads == {}
     assert np.isclose(d_x.sum(), d_out.sum())  # ties absent: mass conserved
     # each tile has exactly one nonzero gradient cell, at the tile max
@@ -197,7 +198,7 @@ def test_pool_tie_goes_to_first_in_row_major_order():
     layer = MaxPool2D("p", 2, 2)
     y, cache = layer.forward(x, "train")
     assert y[0, 0, 0, 0] == 7.0
-    d_x, _ = layer.backward(np.ones_like(y), cache)
+    d_x = layer.backward(np.ones_like(y), cache)[0].dense()
     assert d_x[0, 0, 1, 0] == 1.0
     assert d_x[0, 1, 0, 0] == 0.0
 
@@ -208,7 +209,7 @@ def test_pool_backward_gradient_matches_finite_differences():
     layer = MaxPool2D("p", 2, 2)
     y, cache = layer.forward(x, "train")
     probe = rng.normal(size=y.shape)
-    d_x, _ = layer.backward(probe, cache)
+    d_x = layer.backward(probe, cache)[0].dense()
 
     def loss():
         return float(np.sum(layer.forward(x)[0] * probe))
@@ -223,6 +224,37 @@ def test_pool_network_scale_shapes():
     assert a.shape == (1, 17, 13, 8)
     b, _ = MaxPool2D("p2", 5, 3).forward(np.zeros((1, 11, 9, 32)))
     assert b.shape == (1, 2, 3, 32)
+
+
+def test_conv_then_pool_backward_matches_finite_differences():
+    # the conv reads its ReLU mask and patches at the pool's winners only;
+    # the conv output's last row and column lie outside every pool tile,
+    # and the first tile of channel 0 is all ReLU zeros, so its tie goes
+    # to the first position, whose mask is off, and sends no gradient
+    rng = np.random.default_rng(26)
+    x = rng.normal(size=(2, 9, 12, 2))
+    x[:, :4, :4, :] = -3.0 - np.abs(x[:, :4, :4, :])
+    w = rng.normal(size=(3, 2, 2, 3)) * 0.5
+    w[..., 0] = np.abs(w[..., 0])
+    conv = Conv2D("c", w, rng.normal(size=3) * 0.5)
+    pool = MaxPool2D("p", 3, 2)
+    z, conv_cache = conv.forward(x, "train")
+    assert z.shape == (2, 7, 11, 3)  # 2x5 tiles of 3x2, a row and a column cropped
+    assert np.all(z[:, :3, :2, 0] == 0.0)
+    y, pool_cache = pool.forward(z, "train")
+    probe = rng.normal(size=y.shape)
+    routed, _ = pool.backward(probe, pool_cache)
+    d_x, grads = conv.backward(routed, conv_cache)
+
+    def loss():
+        return float(np.sum(pool.forward(conv.forward(x)[0])[0] * probe))
+
+    numeric = fd_grads(loss, {"w": conv.weights, "b": conv.biases, "x": x})
+    assert_close(grads["c.weights"], numeric["w"], 1e-5)
+    assert_close(grads["c.biases"], numeric["b"], 1e-5)
+    assert_close(d_x, numeric["x"], 1e-5)
+    # the input's last row and column feed only the cropped conv row and column
+    assert np.all(d_x[:, -1] == 0.0) and np.all(d_x[:, :, -1] == 0.0)
 
 
 # ---------------------------------------------------------------- batch norm
@@ -539,40 +571,82 @@ def test_pool_infer_is_train_bit_for_bit_for_any_shape(data, dtype, ph, pw):
 # ---------------------------------------------------------------- patch layout
 
 
-def _row_major_reference(layer, x, d_out):
-    """(output, weight grad, bias grad, input grad, unchunked weight grad)
-    of a conv layer through a C-contiguous (rows, fh·fw·cin) patch
-    matrix: `@` forward, tensordot gradients, col2im summed filter tap by
-    filter tap. The weight gradient is summed over chunks of one clip's
-    output rows, the most that fit in 1024 patch rows, clip by clip and
-    top to bottom, each chunk laid out as the layer lays it out: offset-
-    major (column-major) for one input channel and ow > fw, as OpenBLAS
-    can round a small gemm's transposed operand differently. The last
-    item sums the weight gradient in one tensordot instead."""
-    fh, fw, cin, cout = layer.weights.shape
-    n, h, w, _ = x.shape
-    oh, ow = h - fh + 1, w - fw + 1
+def _lowered(layer, x):
+    """x's C-contiguous (n·oh·ow, fh·fw·cin) patch matrix, every output
+    position in row-major order."""
+    fh, fw, cin, _ = layer.weights.shape
     patches = np.lib.stride_tricks.sliding_window_view(x, (fh, fw), axis=(1, 2))
-    cols = np.ascontiguousarray(patches.transpose(0, 1, 2, 4, 5, 3)).reshape(n * oh * ow, -1)
-    weights = layer.weights.reshape(-1, cout)
-    z = cols @ weights + layer.biases
-    y = np.maximum(z, 0.0).reshape(n, oh, ow, cout)
-    dz = np.where(z > 0.0, d_out.reshape(-1, cout), 0.0)
-    chunk = max(1, 1024 // ow) * ow
-    layout = np.asfortranarray if cin == 1 and ow > fw else np.ascontiguousarray
-    d_w = np.zeros_like(weights)
-    for clip in range(0, n * oh * ow, oh * ow):
-        for start in range(clip, clip + oh * ow, chunk):
-            stop = min(start + chunk, clip + oh * ow)
-            d_w += np.tensordot(layout(cols[start:stop]), dz[start:stop], axes=([0], [0]))
-    d_w_unchunked = np.tensordot(cols, dz, axes=([0], [0]))
-    d_cols = np.tensordot(dz, weights, axes=([1], [1])).reshape(n, oh, ow, fh, fw, cin)
-    d_x = np.zeros(x.shape, dtype=d_out.dtype)
+    return np.ascontiguousarray(patches.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, fh * fw * cin)
+
+
+def _col2im(d_cols, x_shape):
+    """Sum (n, oh, ow, fh, fw, cin) patch gradients back into x's shape."""
+    n, oh, ow, fh, fw, cin = d_cols.shape
+    d_x = np.zeros(x_shape, dtype=d_cols.dtype)
     for a in range(fh):
         for b in range(fw):
             d_x[:, a : a + oh, b : b + ow, :] += d_cols[:, :, :, a, b, :]
-    shape = layer.weights.shape
-    return y, d_w.reshape(shape), dz.sum(axis=0), d_x, d_w_unchunked.reshape(shape)
+    return d_x
+
+
+def _reference(layer, x, d_out):
+    """(output, weight grad, bias grad, input grad) of a conv layer through
+    a C-contiguous patch matrix, `@` forward and tensordot gradients, in
+    the layer's summation order. d_out is dense or Routed. The weight
+    gradient takes the rows listed in some channel (every row for a dense
+    d_out) in row-major order, CHUNK_ROWS rows at a time; the bias
+    gradient sums the masked gradient over the listed entries in their
+    order; the input gradient contracts the masked gradient of every row,
+    unlisted ones zero, with one filter tap's weights at a time and adds
+    each tap's product at its offset."""
+    fh, fw, cin, cout = layer.weights.shape
+    n, h, w, _ = x.shape
+    oh, ow = h - fh + 1, w - fw + 1
+    cols = _lowered(layer, x)
+    weights = layer.weights.reshape(-1, cout)
+    z = cols @ weights + layer.biases
+    y = np.maximum(z, 0.0).reshape(n, oh, ow, cout)
+    routed = Routed.of(d_out)
+    dz = np.where(z > 0.0, routed.dense().reshape(-1, cout), 0.0)
+    listed = np.unique(routed.pos + (np.arange(n) * oh * ow)[:, None, None])
+    d_w = np.zeros_like(weights)
+    for start in range(0, listed.size, CHUNK_ROWS):
+        rows = listed[start : start + CHUNK_ROWS]
+        d_w += np.tensordot(cols[rows], dz[rows], axes=([0], [0]))
+    d_b = np.take_along_axis(dz.reshape(n, oh * ow, cout), routed.pos, axis=1).sum(axis=(0, 1))
+    d_x = np.zeros(x.shape, dtype=dz.dtype)
+    for a in range(fh):
+        for b in range(fw):
+            tap = np.tensordot(dz, layer.weights[a, b], axes=([1], [1]))
+            d_x[:, a : a + oh, b : b + ow, :] += tap.reshape(n, oh, ow, cin)
+    return y, d_w.reshape(layer.weights.shape), d_b, d_x
+
+
+def _dense_oracle(layer, x, d_out):
+    """(weight grad, bias grad, input grad) in float64 by the plain dense
+    algorithm: one tensordot over every patch row of the batch, one sum
+    over every output position, col2im."""
+    fh, fw, cin, cout = layer.weights.shape
+    cols = _lowered(layer, x.astype(np.float64))
+    weights = layer.weights.reshape(-1, cout).astype(np.float64)
+    z = cols @ weights + layer.biases.astype(np.float64)
+    d_out = Routed.of(d_out).dense().astype(np.float64)
+    dz = np.where(z > 0.0, d_out.reshape(-1, cout), 0.0)
+    d_cols = np.tensordot(dz, weights, axes=([1], [1])).reshape(d_out.shape[:3] + (fh, fw, cin))
+    return (np.tensordot(cols, dz, axes=([0], [0])).reshape(layer.weights.shape),
+            dz.sum(axis=0), _col2im(d_cols, x.shape))
+
+
+def _assert_matches_reference(layer, x, d_out, got_x, grads):
+    _, want_w, want_b, want_x = _reference(layer, x, d_out)
+    assert_same_bits(grads["c.weights"], want_w)
+    assert_same_bits(grads["c.biases"], want_b)
+    assert_same_bits(got_x, want_x)
+    # only the summation order differs from the dense algorithm
+    eps = np.finfo(x.dtype).eps
+    for got, oracle in zip((grads["c.weights"], grads["c.biases"], got_x),
+                           _dense_oracle(layer, x, d_out)):
+        assert np.abs(got - oracle).max() <= 64 * eps * np.abs(oracle).max()
 
 
 # conv1 on a full window (offset-major patches), conv1 on a 70 ms stream
@@ -590,33 +664,31 @@ def test_conv_is_row_major_reference_bit_for_bit_at_network_size(dtype, w_shape,
                    (rng.normal(size=w_shape[-1]) * 0.1).astype(dtype))
     x = rng.normal(size=x_shape).astype(dtype)
     y, cache = layer.forward(x, "train")
-    d_out = rng.normal(size=y.shape).astype(dtype)
-    d_x, grads = layer.backward(d_out, cache)
-    want_y, want_w, want_b, want_x, unchunked_w = _row_major_reference(layer, x, d_out)
+    want_y = _reference(layer, x, y)[0]
     assert_same_bits(y, want_y)
     assert_same_bits(layer.forward(x, "infer")[0], want_y)
-    assert_same_bits(grads["c.weights"], want_w)
-    assert_same_bits(grads["c.biases"], want_b)
-    assert_same_bits(d_x, want_x)
-    # the chunks change only the weight gradient's summation order
-    scale = np.abs(unchunked_w).max()
-    assert np.abs(grads["c.weights"] - unchunked_w).max() <= 64 * np.finfo(dtype).eps * scale
+    # a dense output gradient, then the network's pool winners
+    d_out = rng.normal(size=y.shape).astype(dtype)
+    _assert_matches_reference(layer, x, d_out, *layer.backward(d_out, cache))
+    pool = MaxPool2D("p", *{1: (7, 5), 8: (5, 3)}[w_shape[2]])
+    pooled, pool_cache = pool.forward(y, "train")
+    routed, _ = pool.backward(rng.normal(size=pooled.shape).astype(dtype), pool_cache)
+    _assert_matches_reference(layer, x, routed, *layer.backward(routed, cache))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("cin", [1, 2])
 def test_conv_weight_gradient_chunks_that_end_a_clip_short(dtype, cin):
-    # ow 298 gives 3-row chunks, and a clip's 38 output rows end in a
-    # 2-row chunk; one channel lowers offset-major, two row-major
+    # 38x298 = 11324 output positions a clip, not a multiple of
+    # CHUNK_ROWS: one chunk holds the end of the first clip and the start
+    # of the second, and the batch ends in a shorter chunk; one channel
+    # lowers offset-major in forward, two row-major
+    assert 11324 % CHUNK_ROWS and 2 * 11324 % CHUNK_ROWS
     rng = np.random.default_rng(43)
     layer = Conv2D("c", rng.normal(size=(3, 3, cin, 2)).astype(dtype),
                    rng.normal(size=2).astype(dtype))
     x = rng.normal(size=(2, 40, 300, cin)).astype(dtype)
     y, cache = layer.forward(x, "train")
+    assert_same_bits(y, _reference(layer, x, y)[0])
     d_out = rng.normal(size=y.shape).astype(dtype)
-    d_x, grads = layer.backward(d_out, cache)
-    want_y, want_w, want_b, want_x, _ = _row_major_reference(layer, x, d_out)
-    assert_same_bits(y, want_y)
-    assert_same_bits(grads["c.weights"], want_w)
-    assert_same_bits(grads["c.biases"], want_b)
-    assert_same_bits(d_x, want_x)
+    _assert_matches_reference(layer, x, d_out, *layer.backward(d_out, cache))

@@ -276,24 +276,25 @@ def test_dense_only_backward_skipping_input_grad_keeps_every_gradient_bit():
     _assert_backward_matches_reference(net, rng.normal(size=(4, 6)), [0, 1, 2, 0])
 
 
-# Conv weight gradients are summed over fixed chunks of patch rows (see
-# `layers.Conv2D`), so OpenBLAS's thread count cannot change their bits;
-# one gemm over every patch row of the batch gave different bits at 1 and
-# 2 threads.
+# Conv weight gradients are summed over fixed chunks of gathered patch
+# rows (see `layers.Conv2D`), so OpenBLAS's thread count cannot change
+# their bits; one gemm over every patch row of the batch gave different
+# bits at 1 and 2 threads. The bias gradients sum the pool winners'
+# masked gradient. Batch 64 is training's default.
 GRAD_BITS_SCRIPT = """
 import hashlib
 import numpy as np
 from voicehand.network import INPUT_SHAPE, build_network
 from voicehand.train import one_hot
 
-for dtype in (np.float32, np.float64):
-    for n in (3, 5, 16):
+for dtype, sizes in ((np.float32, (3, 5, 16, 64)), (np.float64, (3, 5, 16))):
+    for n in sizes:
         net = build_network(seed=31, dtype=dtype)
         rng = np.random.default_rng(n)
         x = rng.normal(size=(n,) + INPUT_SHAPE)
         _, trace = net.forward(x, "train", dropout_rng=rng)
         grads = net.backward(trace, one_hot(rng.integers(9, size=n), dtype=dtype))
-        for name in ("conv1.weights", "conv2.weights"):
+        for name in ("conv1.weights", "conv1.biases", "conv2.weights", "conv2.biases"):
             digest = hashlib.sha256(grads[name].tobytes()).hexdigest()
             print(np.dtype(dtype).name, n, name, digest)
 """
@@ -308,7 +309,7 @@ def test_conv_weight_gradients_do_not_depend_on_the_blas_thread_count():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 12
+    assert len(outputs[0].splitlines()) == 28
     assert outputs[0] == outputs[1]
 
 
@@ -391,3 +392,21 @@ def test_train_step_keeps_no_patch_matrix():
         tracemalloc.stop()
     assert alive < 4 * 2**20
     assert peak < 20 * 2**20
+
+
+def test_backward_allocates_less_than_one_conv1_output():
+    # pool1 hands conv1 its winners, not a gradient shaped like conv1's
+    # output, and conv1 gathers only the winners' patches
+    net = build_network(seed=3)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(16,) + INPUT_SHAPE).astype(np.float32)
+    targets = one_hot(rng.integers(9, size=16), dtype=np.float32)
+    net.backward(net.forward(x[:1], "train", dropout_rng=rng)[1], targets[:1])
+    _, trace = net.forward(x, "train", dropout_rng=rng)
+    tracemalloc.start()
+    try:
+        net.backward(trace, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 120 * 65 * 8 * 4

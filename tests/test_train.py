@@ -241,8 +241,8 @@ def test_train_epoch_frees_each_step_trace_before_the_next_forward(tiny_tree):
 # Two epochs on a small tone set, with augmentation and a partial last
 # batch, run in a process of its own at 1 and at 2 BLAS threads. The
 # digest pins forward, backward and Adam to the bit; it was recorded when
-# the conv weight gradients began summing over fixed chunks.
-TWO_EPOCH_DIGEST = "9c9ce0ad22bbe441b15d2c507ea2c3019ba40f484b2250fd2ddc0b89eb384005"
+# the conv gradients began reading only the pool winners' patches.
+TWO_EPOCH_DIGEST = "5b8bdd89b7399326ad2dafeaaf2e4ff6798c72f7b6125bd2d45ea95c5504b281"
 
 TWO_EPOCH_SCRIPT = """
 import hashlib, sys
