@@ -18,7 +18,9 @@ PCM_SCALE = 32768.0  # maps the full signed-16-bit range into [-1, 1)
 
 @dataclass(frozen=True)
 class NoisePool:
-    """Background noise clips usable as augmentation sources.
+    """Background noise clips usable as augmentation sources, kept as
+    int16 PCM (a quarter of their float64 size); `mix_noise` scales only
+    the crop it takes.
 
     Clips shorter than one window are dropped at construction so any
     member can always supply a full 16000-sample crop.
@@ -30,7 +32,7 @@ class NoisePool:
     def from_files(cls, paths):
         clips = []
         for p in paths:
-            samples = to_window_values(read_wav(p).samples, pad=False)
+            samples = read_wav(p).samples
             if len(samples) >= WINDOW_SAMPLES:
                 clips.append(samples)
         return cls(clips=tuple(clips))
@@ -67,5 +69,5 @@ def mix_noise(window: np.ndarray, pool: NoisePool, gain: float, offset_seed: int
     rng = np.random.default_rng(offset_seed)
     clip = pool.clips[int(rng.integers(len(pool.clips)))]
     start = int(rng.integers(len(clip) - WINDOW_SAMPLES + 1))
-    crop = clip[start : start + WINDOW_SAMPLES]
+    crop = to_window_values(clip[start : start + WINDOW_SAMPLES], pad=False)
     return np.clip(window + gain * crop, -1.0, 1.0)

@@ -9,10 +9,13 @@ the dtype it was built with.
 
 Only train mode builds what backward reads. In infer mode Conv2D,
 MaxPool2D, BatchNorm and Dropout return None as their cache: MaxPool2D
-takes a plain max without recording where it was, BatchNorm uses its
+takes its max without recording where it was, BatchNorm uses its
 moving statistics and Dropout passes its input through. Conv2D runs the
 same loop in both modes and keeps no patches in either; in train mode it
-caches its input and ReLU mask. Backward needs a train-mode cache.
+caches its input and ReLU mask. MaxPool2D takes the same strided max in
+both modes; train mode then finds each tile's winner by a first-equal
+scan of the same strided views, so neither mode copies its input.
+Backward needs a train-mode cache.
 
 Every backward returns a dense input gradient except MaxPool2D's: a
 pool tile passes its gradient to one input, its winner, so the pool
@@ -275,17 +278,26 @@ class Conv2D(Layer):
 
 class MaxPool2D(Layer):
     """Non-overlapping max pooling; trailing rows/columns that do not fill
-    a window are dropped. In train mode the cache records the winning
-    position per window (first max on ties), and backward returns a
-    `Routed` gradient that lists each winner and the output gradient at
-    it: gradient mass is conserved, and no input-shaped array is built.
-    Infer mode caches nothing (None): it takes np.maximum over the
-    pool_w column offsets, then over the pool_h row offsets, of strided
-    views of the input, with the running max as the second operand.
-    np.maximum returns its second operand when the two are equal (+0.0
-    and -0.0 included), so a later value replaces the running max only
-    when it is greater, which is argmax's first-max rule: both modes
-    give the same bits."""
+    a window are dropped.
+
+    Both modes take the same max: np.maximum over the pool_w column
+    offsets, then over the pool_h row offsets, of strided views of the
+    input, with the running max as the second operand. np.maximum
+    returns its second operand when the two are equal (+0.0 and -0.0
+    included), so a later value replaces the running max only when it
+    is greater, which is argmax's first-max rule. A tile holding NaN has
+    a NaN max; when its NaNs differ in sign or payload, the max carries
+    the bits np.maximum keeps, which need not be the winner's. Infer mode
+    caches nothing (None).
+
+    Train mode also caches each tile's winner, argmax's index into
+    `tiles`: the first position in row-major order equal to the max, or
+    the first NaN in a tile holding one. It finds it by comparing each
+    offset's strided view with the max, last offset to first, and
+    writing the offset where they match, so no copy of the input is made
+    (pool1's at batch 64 is 16 MB). Backward returns a `Routed` gradient
+    that lists each winner and the output gradient at it: gradient mass
+    is conserved, and no input-shaped array is built."""
 
     def __init__(self, name, pool_h, pool_w):
         super().__init__(name)
@@ -301,24 +313,45 @@ class MaxPool2D(Layer):
         tiles = cropped.reshape(n, oh, ph, ow, pw, c).transpose(0, 1, 3, 2, 4, 5)
         return tiles.reshape(n, oh, ow, ph * pw, c)
 
+    def _tile_max(self, x):
+        """Each tile's max: np.maximum over the pool_w column offsets, then
+        the pool_h row offsets, of strided views of x, the running max
+        second."""
+        ph, pw = self.pool_h, self.pool_w
+        h, w = x.shape[1] // ph * ph, x.shape[2] // pw * pw
+        cols = x[:, :h, 0:w:pw]
+        for j in range(1, pw):
+            cols = np.maximum(x[:, :h, j:w:pw], cols)
+        y = cols[:, 0::ph]
+        for i in range(1, ph):
+            y = np.maximum(cols[:, i::ph], y)
+        return y
+
     def forward(self, x, mode="infer", rng=None):
         if x.ndim != 4:
             raise VoicehandError(f"{self.name}: expected 4D input, got {x.shape}")
         if x.shape[1] < self.pool_h or x.shape[2] < self.pool_w:
             raise VoicehandError(f"{self.name}: input {x.shape} smaller than pool window")
+        y = self._tile_max(x)
         if mode != "train":
-            ph, pw = self.pool_h, self.pool_w
-            h, w = x.shape[1] // ph * ph, x.shape[2] // pw * pw
-            cols = x[:, :h, 0:w:pw]
-            for j in range(1, pw):
-                cols = np.maximum(x[:, :h, j:w:pw], cols)
-            y = cols[:, 0::ph]
-            for i in range(1, ph):
-                y = np.maximum(cols[:, i::ph], y)
             return y, None
-        tiles = self.tiles(x)
-        argmax = tiles.argmax(axis=3)
-        y = np.take_along_axis(tiles, argmax[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+        # Each tile's winner is its first position equal to y, or its first
+        # NaN when y is NaN: argmax's rule. Offsets are visited last to
+        # first, so the first hit is written last. y is one of its tile's
+        # values, so every tile has a hit and every entry is written.
+        n, _, _, c = x.shape
+        ph, pw = self.pool_h, self.pool_w
+        oh, ow = y.shape[1:3]
+        windows = x[:, : oh * ph, : ow * pw].reshape(n, oh, ph, ow, pw, c)
+        has_nan = bool(np.isnan(y).any())
+        argmax = np.empty(y.shape, dtype=np.intp)
+        hit = np.empty(y.shape, dtype=bool)
+        for k in reversed(range(ph * pw)):
+            at = windows[:, :, k // pw, :, k % pw, :]
+            np.equal(at, y, out=hit)
+            if has_nan:
+                hit |= np.isnan(at)
+            np.copyto(argmax, k, where=hit)
         return y, (argmax, x.shape)
 
     def backward(self, d_out, cache):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .adam import Adam
-from .audio import NoisePool, mix_noise, to_window
+from .audio import WINDOW_SAMPLES, NoisePool, mix_noise, to_window
 from .checkpoint import save_checkpoint
 from .dataset import DatasetIndex
 from .errors import VoicehandError
@@ -22,7 +22,7 @@ from .features import log_compress, stft_power
 from .gestures import CLASS_NAMES
 from .network import INPUT_SHAPE, Network
 from .rng import substream
-from .wav import read_wav
+from .wav import AudioClip, read_wav
 
 N_CLASSES = len(CLASS_NAMES)
 PROB_FLOOR = 1e-12  # keeps the loss finite when the net is certain and wrong
@@ -76,8 +76,12 @@ def cross_entropy(probs: np.ndarray, labels) -> float:
 
 
 class ClipStore:
-    """Decoded one-second windows cached by path, so repeated epochs skip
-    the file reads."""
+    """Clips cached by path as int16 PCM, so repeated epochs skip the file
+    reads. A path keeps at most its first WINDOW_SAMPLES samples, all that
+    `to_window` reads (32 KB, where the float64 window is 128 KB), and
+    `window` scales and pads them again on every call: int16 / 32768 is
+    exact in float64, so each call returns the same bits as a fresh
+    `to_window(read_wav(path))`, in a new array the caller may change."""
 
     def __init__(self):
         self._cache = {}
@@ -85,8 +89,8 @@ class ClipStore:
     def window(self, path) -> np.ndarray:
         key = str(path)
         if key not in self._cache:
-            self._cache[key] = to_window(read_wav(path))
-        return self._cache[key]
+            self._cache[key] = AudioClip(read_wav(path).samples[:WINDOW_SAMPLES].copy())
+        return to_window(self._cache[key])
 
 
 def _augmented_window(window, pool, config: TrainConfig, epoch: int, index: int):

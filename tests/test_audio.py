@@ -59,7 +59,7 @@ def test_mix_empty_pool_raises_when_gain_positive():
 
 def _pool_one_clip(n=40000, seed=3):
     rng = np.random.default_rng(seed)
-    return NoisePool(clips=(rng.uniform(-1, 1, size=n),))
+    return NoisePool(clips=(rng.integers(-32768, 32768, size=n, dtype=np.int16),))
 
 
 def test_mix_is_deterministic_per_seed():
@@ -76,7 +76,7 @@ def test_mix_adds_contiguous_noise_slice():
     # with a zero window the output IS gain * a slice of the pool clip
     pool = _pool_one_clip()
     out = mix_noise(np.zeros(WINDOW_SAMPLES), pool, gain=0.05, offset_seed=11)
-    clip = pool.clips[0]
+    clip = pool.clips[0] / PCM_SCALE
     windows = np.lib.stride_tricks.sliding_window_view(clip, WINDOW_SAMPLES)
     matches = np.flatnonzero(np.isclose(windows[:, 0], out[0] / 0.05))
     assert any(np.allclose(out, 0.05 * windows[m]) for m in matches)
@@ -84,7 +84,7 @@ def test_mix_adds_contiguous_noise_slice():
 
 def test_mix_clamps_to_unit_range():
     window = np.ones(WINDOW_SAMPLES)
-    pool = NoisePool(clips=(np.ones(20000),))
+    pool = NoisePool(clips=(np.full(20000, 32767, dtype=np.int16),))
     out = mix_noise(window, pool, gain=0.1, offset_seed=5)
     np.testing.assert_array_equal(out, 1.0)
 
@@ -99,6 +99,29 @@ def test_pool_from_files_drops_short_clips(tmp_path):
     pool = NoisePool.from_files([long_path, short_path])
     assert len(pool) == 1
     assert pool.clips[0].shape == (16000,)
+    assert pool.clips[0].dtype == np.int16
+
+
+def test_mix_scales_only_the_crop_with_the_bits_of_the_scaled_clip(tmp_path):
+    # the pool keeps int16 PCM; the mix must equal the one made from the
+    # whole clip scaled to float64 first and then sliced
+    from voicehand.wav import write_wav
+
+    rng = np.random.default_rng(5)
+    clips = [rng.integers(-32768, 32768, size=n, dtype=np.int16) for n in (16000, 23456)]
+    paths = []
+    for i, clip in enumerate(clips):
+        paths.append(tmp_path / f"noise{i}.wav")
+        write_wav(paths[-1], clip)
+    pool = NoisePool.from_files(paths)
+    window = rng.uniform(-1, 1, WINDOW_SAMPLES)
+    for seed in range(12):
+        pick = np.random.default_rng(seed)
+        clip = clips[int(pick.integers(len(clips)))].astype(np.float64) / PCM_SCALE
+        start = int(pick.integers(len(clip) - WINDOW_SAMPLES + 1))
+        want = np.clip(window + 0.07 * clip[start : start + WINDOW_SAMPLES], -1.0, 1.0)
+        got = mix_noise(window, pool, gain=0.07, offset_seed=seed)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @settings(max_examples=30, deadline=None)

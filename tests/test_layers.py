@@ -1,6 +1,8 @@
 """Layer forward passes against nested-loop oracles; backward passes
 against central finite differences on a scalar probe loss sum(y * R)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -566,6 +568,55 @@ def test_pool_infer_is_train_bit_for_bit_for_any_shape(data, dtype, ph, pw):
     y, cache = layer.forward(x, "infer")
     assert cache is None
     assert_same_bits(y, layer.forward(x, "train")[0])
+
+
+POOL_VALUES = [-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+       n=st.sampled_from([1, 64]), ph=st.integers(1, 4), pw=st.integers(1, 5),
+       values=st.lists(st.sampled_from(POOL_VALUES), min_size=1, max_size=6),
+       normal_share=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_pool_train_routing_is_argmax_for_any_values(data, dtype, n, ph, pw, values,
+                                                     normal_share, seed):
+    # train mode finds each tile's winner as its first position equal to
+    # the strided max (its first NaN in a NaN tile); the reference is
+    # argmax over an explicit copy of the tiles
+    shape = (n, data.draw(st.integers(ph, 3 * ph + 2)),
+             data.draw(st.integers(pw, 3 * pw + 2)), data.draw(st.integers(1, 3)))
+    rng = np.random.default_rng(seed)
+    x = np.where(rng.random(shape) < normal_share, rng.normal(size=shape),
+                 rng.choice(np.array(values), size=shape)).astype(dtype)
+    layer = MaxPool2D("p", ph, pw)
+    y, (argmax, x_shape) = layer.forward(x, "train")
+    tiles = layer.tiles(x)
+    want = tiles.argmax(axis=3)
+    assert x_shape == x.shape
+    np.testing.assert_array_equal(argmax, want)
+    assert_same_bits(y, layer.forward(x, "infer")[0])
+    # NaN compares equal here: a NaN tile's max is NaN, whichever NaN
+    np.testing.assert_array_equal(
+        y, np.take_along_axis(tiles, want[:, :, :, None, :], axis=3)[:, :, :, 0, :])
+
+
+def test_network_train_forward_makes_no_copy_of_conv1_output():
+    # pool1 takes its max from strided views and scans them for the
+    # winners; a copy of conv1's (64, 120, 65, 8) float32 output into
+    # tiles, and argmax's second copy, put the peak near 50 MiB
+    from voicehand.network import INPUT_SHAPE, build_network
+
+    net = build_network(seed=3)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(64,) + INPUT_SHAPE).astype(np.float32)
+    net.forward(x[:1], "train", dropout_rng=rng)
+    tracemalloc.start()
+    try:
+        net.forward(x, "train", dropout_rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------- patch layout

@@ -61,16 +61,34 @@ def test_cross_entropy_mixed_case_oracle():
     assert np.isclose(cross_entropy(probs, [0, 1]), want)
 
 
-def test_clip_store_caches_windows(tmp_path):
-    from voicehand.wav import write_wav
+def test_clip_store_caches_windows(tmp_path, monkeypatch):
+    # the store reads each file once, keeps at most one window of int16
+    # samples per path, and returns to_window(read_wav(path))'s bits, in a
+    # fresh array, on every call
+    import voicehand.train as train
+    from voicehand.audio import to_window
+    from voicehand.wav import read_wav, write_wav
 
-    path = tmp_path / "a.wav"
-    write_wav(path, np.full(16000, 1000, dtype=np.int16))
+    rng = np.random.default_rng(4)
+    paths = []
+    for name, n in (("short", 9000), ("exact", 16000), ("long", 23000)):
+        paths.append(tmp_path / f"{name}.wav")
+        write_wav(paths[-1], rng.integers(-32768, 32768, size=n, dtype=np.int16))
+    reads = []
+    monkeypatch.setattr(train, "read_wav", lambda path: reads.append(path) or read_wav(path))
     store = ClipStore()
-    w1 = store.window(path)
-    w2 = store.window(path)
-    assert w1 is w2
-    assert w1.shape == (16000,)
+    for _ in range(3):
+        for path in paths:
+            window = store.window(path)
+            want = to_window(read_wav(path))
+            assert window.shape == (16000,) and window.dtype == np.float64
+            np.testing.assert_array_equal(window.view(np.uint64), want.view(np.uint64))
+            window[:] = 2.0  # the next call must not see this
+    assert reads == paths
+    assert len(store._cache) == 3
+    for clip in store._cache.values():
+        assert clip.samples.dtype == np.int16 and len(clip.samples) <= 16000
+        assert clip.samples.base is None  # owns its data: a long file is not kept alive
 
 
 @pytest.fixture
