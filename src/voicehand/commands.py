@@ -169,12 +169,14 @@ def window_probs(network, samples: np.ndarray, config: StreamConfig = StreamConf
     previous window, shifted by k columns. The frames are the same bits as a
     full window's, but conv1's matmul over fewer rows can round
     differently, so the probabilities agree with `classify_window` within
-    1e-5 rather than bit for bit. Conv1's patch layout adds to this at
-    140 ms only: its 10 output columns there take the offset-major layout
-    (see `layers.Conv2D`), and its 1200-row float32 gemm is small enough
-    for OpenBLAS's small-matrix path, which rounds a transposed patch
-    matrix differently from a row-major one, by up to 4e-7 with the same
-    argmax. Any other hop runs `classify_window` on each window.
+    1e-5 rather than bit for bit. At 70 ms conv1's 5 output columns take
+    the row-major patch matrix (see `layers.Conv2D`), and its float32
+    product is small enough for OpenBLAS's small-matrix kernel, which
+    rounds it differently from a full window's: on the tests' trained
+    model and stream recording the probabilities differ by up to 3e-7,
+    with the same argmax. From 140 ms on conv1 lowers row blocks, as on
+    a full window, and there they differ by 0. Any other hop runs
+    `classify_window` on each window.
     """
     offsets = window_offsets(len(samples), config)
     prefix, suffix = network.layers[:3], network.layers[3:]

@@ -9,25 +9,26 @@ the dtype it was built with.
 
 Only train mode builds what backward reads. In infer mode Conv2D,
 MaxPool2D, BatchNorm and Dropout return None as their cache: MaxPool2D
-takes its max without recording where it was, BatchNorm uses its
+returns its max without the winners, BatchNorm uses its
 moving statistics and Dropout passes its input through. Conv2D runs the
 same loop in both modes and keeps no patches in either; in train mode it
-caches its input and ReLU mask. MaxPool2D takes the same strided max in
-both modes; train mode then finds each tile's winner by a first-equal
-scan of the same strided views, so neither mode copies its input.
-Backward needs a train-mode cache.
+caches its input and ReLU mask. MaxPool2D finds each tile's winner rows
+first over contiguous row slabs, a few clips at a time; infer mode on a
+small input takes a columns-first max over strided views instead.
+Neither copies its input. Backward needs a train-mode cache.
 
 Every backward returns a dense input gradient except MaxPool2D's: a
 pool tile passes its gradient to one input, its winner, so the pool
 returns a `Routed` gradient listing the winners, and the Conv2D below
 reads its ReLU mask and gathers patches at those positions only.
 
-Conv2D's forward lowers its input to (rows, fh·fw·cin) patch matrices,
-one clip at a time into one reused buffer, and runs the convolution as
-matmuls on them. How a buffer lies in memory follows the input:
-offset-major for one channel wider than the filter (conv1 on a full
-window), row-major otherwise (conv2). The layout changes no bit of
-full-window inference. See Conv2D.
+Conv2D's forward runs the convolution as matmuls on patch matrices
+lowered one clip at a time into one reused buffer. With one input
+channel and an output wider than the filter (conv1 on a full window),
+one patch row feeds ROW_BLOCK vertically adjacent output rows through a
+banded weight matrix; otherwise a patch row feeds one output position
+(conv2). Either way each output sums the same products in the same
+order. See Conv2D.
 """
 
 from typing import NamedTuple
@@ -42,6 +43,22 @@ from .errors import VoicehandError
 # (float64) or 449 (float32) rows on; tests/test_network.py checks the
 # thread counts against each other.
 CHUNK_ROWS = 384
+
+# Output rows one patch row feeds in Conv2D's row-block lowering (see
+# Conv2D). Conv1's forward on a 2-core VM, OpenBLAS 0.3.31 at 2 threads,
+# medians of five rounds over R: at batch 64, 26.5 ms at R = 4, 22-23 ms
+# from 6 to 24, 30.9 ms at 40; at batch 1, 0.32-0.34 ms from 6 to 16,
+# 0.55 ms at 40; on a 140 ms stream hop's 16 frames, 0.094 ms at 4,
+# 0.106 ms at 8, 0.142 ms at 16. 8 divides conv1's 120 output rows.
+ROW_BLOCK = 8
+
+# Input values one pass of MaxPool2D's winners' scan works on, in whole
+# clips: 8 of pool1's, all of pool2's at batch 64; infer mode takes the
+# scan from this size on (see MaxPool2D). Pool1's train forward at batch
+# 64 on the same VM, medians of five rounds: 6.8 ms a clip at a time,
+# 4.0-4.2 ms at 4 to 16 clips, 5.4 ms at all 64, whose temporaries also
+# peak 4x higher.
+POOL_CHUNK = 2**19
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -133,10 +150,10 @@ class Routed(NamedTuple):
 class Conv2D(Layer):
     """Valid (no padding) cross-correlation, stride 1, ReLU activation.
 
-    Weights are (filter_h, filter_w, in_channels, out_channels). Input
-    patches are lowered to (rows, fh·fw·cin) matrices, one row per output
-    position and columns in the weight layout's order, so the contraction
-    is `cols @ W` and the weight gradient `cols.T @ dz`.
+    Weights are (filter_h, filter_w, in_channels, out_channels). A patch
+    matrix has one row per output position and fh·fw·cin columns in the
+    weight layout's order, so the contraction is `cols @ W` and the
+    weight gradient `cols.T @ dz`.
 
     Forward, in either mode, is one loop over the clips: lower the clip
     into one reused buffer, matmul, add the bias, ReLU. Per-clip matmuls
@@ -145,6 +162,30 @@ class Conv2D(Layer):
     caches the input and the ReLU mask, (x, active): 6 MiB for conv1 at
     batch 64, against 133 MiB for its whole patch matrix. Infer mode
     caches nothing (None).
+
+    With one input channel and ow > fw (conv1 on a full window, and on a
+    stream hop of 140 ms and more), a patch row feeds R = ROW_BLOCK
+    vertically adjacent output rows: it holds the (fh + R - 1)·fw taps
+    they read, and a banded (taps, R·cout) weight matrix, whose output
+    row j holds the filter shifted down j rows and exact zeros elsewhere,
+    gives all R outputs in one product. The patches are lowered at the
+    clip's full width from a zero-padded copy of it, so each tap copies
+    runs of w input values, and the columns past ow and rows past oh are
+    dropped as the bias is added. OpenBLAS's gemm kernel sums each
+    output over its taps in order, and a zero tap adds an exact zero, so
+    the outputs are the bits of the patch matrix times the weights: of a
+    column-major patch matrix at any width, and of a row-major one but
+    where a float32 product is small enough for OpenBLAS's small-matrix
+    kernel, which rounds differently (conv1 on a 140 ms hop's 16
+    frames). A zero tap times an infinite or NaN input is NaN, though: a
+    non-finite input value makes NaN in all R output rows of each block
+    that reads it, at the columns that read it, not only in the rows
+    whose filter covers it. Such a window's output is not finite either
+    way, and `network.run_layers` refuses it.
+
+    Otherwise (conv2, 8 channels; conv1 on a 70 ms stream hop's 11
+    frames, ow 5) a patch row is one output position, lowered row-major
+    by `lowered`, one run of fw·cin values per filter row.
 
     Backward takes the output gradient as a `Routed` (a dense one goes
     through `Routed.of`). Below a max pool only each tile's winner has a
@@ -166,19 +207,6 @@ class Conv2D(Layer):
     product at its tap's offset, so each add runs over rows of ow·cin
     contiguous values. As a network's first layer Conv2D runs backward
     with input_grad=False, which skips the input gradient.
-
-    A forward patch buffer's memory layout is the one whose filling
-    copies the longer contiguous runs of input. With one input channel
-    and ow > fw it is offset-major, the transpose of a C-contiguous
-    (fh·fw·cin, rows) buffer: each filter tap copies runs of ow
-    neighbouring input values. Otherwise it is row-major, one run of
-    fw·cin values per patch row. Conv1 on a full 129x71 window copies
-    runs of 65 values instead of 7. Conv2 (8 channels) and conv1 on a
-    70 ms stream hop's 11 frames (ow 5) stay row-major: an offset-major
-    run there is strided by cin or shorter than fw, and measured slower.
-    Both layouts feed the gemm the same values, but OpenBLAS can round a
-    small gemm on a transposed operand differently in the last bit: one
-    forward call does (`commands.window_probs` names it).
     """
 
     PARAMS = ("weights", "biases")
@@ -197,45 +225,77 @@ class Conv2D(Layer):
         if h < fh or w < fw:
             raise VoicehandError(f"{self.name}: input {h}x{w} smaller than filter {fh}x{fw}")
         oh, ow = h - fh + 1, w - fw + 1
-        w = self.weights.reshape(-1, cout)
         z = np.empty((n, oh, ow, cout), dtype=np.result_type(x, self.weights, self.biases))
-        # the bias once per output row: the adds of `+= biases` over (oh·ow, cout)
-        row_bias = np.tile(self.biases, ow)
-        for i, cols in self.lowered(x):
-            zi = z[i].reshape(-1, cout)
-            np.matmul(cols, w, out=zi)
-            z_rows = z[i].reshape(oh, -1)
-            z_rows += row_bias
+        # row blocks where they beat row-major patches: conv1 at batch 1 on
+        # the 2-core VM took 0.09-0.11 ms against 0.07-0.10 at ow 5 (a 70 ms
+        # hop), level at ow 7, 0.10-0.13 against 0.12-0.17 at ow 10 (140 ms)
+        fill = self._row_blocks if cin == 1 and ow > fw else self._rows
+        for zi in fill(x, z):
             np.maximum(zi, 0.0, out=zi)
         if mode != "train":
             return z, None
         return z, (x, z > 0.0)
 
+    def _rows(self, x, z):
+        """Fill z with x's pre-activations clip by clip, one output
+        position per patch row; yields each clip's filled z[i]."""
+        cout = z.shape[3]
+        w = self.weights.reshape(-1, cout)
+        # the bias once per output row: the adds of `+= biases` over (oh·ow, cout)
+        row_bias = np.tile(self.biases, z.shape[2])
+        for i, cols in self.lowered(x):
+            np.matmul(cols, w, out=z[i].reshape(-1, cout))
+            z_rows = z[i].reshape(z.shape[1], -1)
+            z_rows += row_bias
+            yield z[i]
+
+    def _row_blocks(self, x, z):
+        """Fill z with the pre-activations of x's one channel clip by clip,
+        ROW_BLOCK output rows per patch row (see the class docstring);
+        yields each clip's filled z[i]."""
+        fh, fw, _, cout = self.weights.shape
+        n, h, w, _ = x.shape
+        oh, ow = z.shape[1:3]
+        r = ROW_BLOCK
+        blocks, taps = -(-oh // r), fh + r - 1  # taps: the input rows one block reads
+        band = np.zeros((taps, fw, r, cout), dtype=self.weights.dtype)
+        for j in range(r):
+            band[j : j + fh, :, j] = self.weights[:, :, 0]
+        band = band.reshape(taps * fw, r * cout)
+        # a clip over zeros: a block's patch row reads fw - 1 values past the
+        # end of an input row, and the last block reads rows past the clip
+        padded = np.zeros((blocks * r + fh, w), dtype=x.dtype)
+        step = padded.strides[1]
+        patches = np.lib.stride_tricks.as_strided(
+            padded, (taps, fw, blocks, w), (w * step, step, r * w * step, step), writeable=False)
+        buf = np.empty(patches.shape, dtype=x.dtype)
+        cols = buf.reshape(taps * fw, blocks * w).T
+        out = np.empty((blocks * w, r * cout), dtype=z.dtype)
+        # (block, output row in block, column, channel), cropped to ow columns
+        blocked = out.reshape(blocks, w, r, cout)[:, :ow].transpose(0, 2, 1, 3)
+        whole = oh // r
+        for i in range(n):
+            padded[:h] = x[i, :, :, 0]
+            buf[...] = patches
+            np.matmul(cols, band, out=out)
+            np.add(blocked[:whole], self.biases, out=z[i, : whole * r].reshape(whole, r, ow, cout))
+            if whole < blocks:
+                np.add(blocked[whole, : oh - whole * r], self.biases, out=z[i, whole * r :])
+            yield z[i]
+
     def lowered(self, x):
-        """x's patch matrices clip by clip: yields (clip, cols), cols a
-        (oh·ow, fh·fw·cin) view of one buffer that the next clip
+        """x's row-major patch matrices clip by clip: yields (clip, cols),
+        cols a (oh·ow, fh·fw·cin) view of one buffer that the next clip
         overwrites."""
         fh, fw, _, _ = self.weights.shape
         patches = np.lib.stride_tricks.sliding_window_view(x, (fh, fw), axis=(1, 2))
         # (n, oh, ow, cin, fh, fw) -> (n, oh, ow, fh, fw, cin), the weight layout's order
         patches = patches.transpose(0, 1, 2, 4, 5, 3)
-        cols, slots = self._patch_matrix(*patches.shape[1:3], x.dtype)
+        buf = np.empty(patches.shape[1:], dtype=x.dtype)
+        cols = buf.reshape(-1, fh * fw * x.shape[3])
         for i in range(x.shape[0]):
-            slots[...] = patches[i]
+            buf[...] = patches[i]
             yield i, cols
-
-    def _patch_matrix(self, oh, ow, dtype):
-        """An empty (oh·ow, fh·fw·cin) patch matrix and a view of its
-        memory shaped (oh, ow, fh, fw, cin) to copy patches into.
-        Offset-major when that copies the longer contiguous runs: one
-        input channel and ow > fw; row-major otherwise."""
-        fh, fw, cin, _ = self.weights.shape
-        rows, taps = oh * ow, fh * fw * cin
-        if cin == 1 and ow > fw:
-            buf = np.empty((fh, fw, cin, oh, ow), dtype=dtype)
-            return buf.reshape(taps, rows).T, buf.transpose(3, 4, 0, 1, 2)
-        buf = np.empty((oh, ow, fh, fw, cin), dtype=dtype)
-        return buf.reshape(rows, taps), buf
 
     def backward(self, d_out, cache, input_grad=True):
         x, active = cache
@@ -280,24 +340,42 @@ class MaxPool2D(Layer):
     """Non-overlapping max pooling; trailing rows/columns that do not fill
     a window are dropped.
 
-    Both modes take the same max: np.maximum over the pool_w column
-    offsets, then over the pool_h row offsets, of strided views of the
-    input, with the running max as the second operand. np.maximum
-    returns its second operand when the two are equal (+0.0 and -0.0
-    included), so a later value replaces the running max only when it
-    is greater, which is argmax's first-max rule. A tile holding NaN has
-    a NaN max; when its NaNs differ in sign or payload, the max carries
-    the bits np.maximum keeps, which need not be the winner's. Infer mode
-    caches nothing (None).
+    Each output is the bits of its tile's first max in row-major order,
+    argmax's first-max rule, sign of zero included, in either mode and
+    by either of two scans.
 
-    Train mode also caches each tile's winner, argmax's index into
-    `tiles`: the first position in row-major order equal to the max, or
-    the first NaN in a tile holding one. It finds it by comparing each
-    offset's strided view with the max, last offset to first, and
-    writing the offset where they match, so no copy of the input is made
-    (pool1's at batch 64 is 16 MB). Backward returns a `Routed` gradient
-    that lists each winner and the output gradient at it: gradient mass
-    is conserved, and no input-shaped array is built."""
+    The winners' scan finds each tile's winner, argmax's index into
+    `tiles`, and returns the winner's own bits. It works rows first over
+    contiguous slabs of ow·pw·c values, POOL_CHUNK input values at a
+    time: for each tile column a running max, and the first row that
+    reached it, `first = max(first, (row > max) · a)`. It then moves the
+    columns to the front, the c values of a tile column as one item, and
+    takes among the columns whose max equals the tile's the smallest
+    a·pw + b, in the smallest unsigned type that holds pw·ph. NaN is
+    greater than nothing, so the scan cannot find it; a chunk holding
+    one takes the winner as the first position equal to the strided max
+    below, or the first NaN, by comparing each offset's strided view
+    with it, and that max's bits as y. No copy of the input is made
+    (pool1's at batch 64 is 16 MB).
+
+    The strided max takes np.maximum over the pool_w column offsets,
+    then over the pool_h row offsets, of strided views of the input,
+    with the running max as the second operand. np.maximum returns its
+    second operand when the two are equal (+0.0 and -0.0 included), so
+    a later value replaces the running max only when it is greater.
+
+    Train mode runs the winners' scan and caches the winners as intp.
+    Infer mode caches nothing (None); it runs the winners' scan on an
+    input of POOL_CHUNK values or more and the strided max on a smaller
+    one, whose ten calls cost less than the scan's two dozen. On a
+    2-core VM the strided max took 0.07 against 0.11 ms on pool1 at
+    batch 1, 0.011 against 0.049 ms on pool2 at batch 1 and 0.09 against
+    0.22 ms at batch 64 (below POOL_CHUNK), and 4.5 against 3.9 ms on
+    pool1 at batch 64.
+
+    Backward returns a `Routed` gradient that lists each winner and the
+    output gradient at it: gradient mass is conserved, and no
+    input-shaped array is built."""
 
     def __init__(self, name, pool_h, pool_w):
         super().__init__(name)
@@ -332,27 +410,74 @@ class MaxPool2D(Layer):
             raise VoicehandError(f"{self.name}: expected 4D input, got {x.shape}")
         if x.shape[1] < self.pool_h or x.shape[2] < self.pool_w:
             raise VoicehandError(f"{self.name}: input {x.shape} smaller than pool window")
-        y = self._tile_max(x)
+        if mode != "train" and x.size < POOL_CHUNK:
+            return self._tile_max(x), None
+        n, h, w, c = x.shape
+        shape = (n, h // self.pool_h, w // self.pool_w, c)
+        y = np.empty(shape, dtype=x.dtype)
+        argmax = np.empty(shape, dtype=np.intp)
+        step = max(1, POOL_CHUNK // x[0].size)
+        for lo in range(0, n, step):
+            self._winners(x[lo : lo + step], y[lo : lo + step], argmax[lo : lo + step])
         if mode != "train":
             return y, None
-        # Each tile's winner is its first position equal to y, or its first
-        # NaN when y is NaN: argmax's rule. Offsets are visited last to
-        # first, so the first hit is written last. y is one of its tile's
-        # values, so every tile has a hit and every entry is written.
+        return y, (argmax, x.shape)
+
+    def _winners(self, x, y, argmax):
+        """Fill y and argmax with x's tile maxima and winners, rows first
+        (see the class docstring)."""
         n, _, _, c = x.shape
         ph, pw = self.pool_h, self.pool_w
         oh, ow = y.shape[1:3]
+        slab = (n, oh, ow * pw * c)
+        rows = [x[:, a : oh * ph : ph, : ow * pw].reshape(slab) for a in range(ph)]
+        col_max = rows[0].copy()
+        # the smallest unsigned type holding ph·pw: every a·pw + b is below its max
+        key_type = np.min_scalar_type(ph * pw)
+        first = np.zeros(slab, dtype=key_type)  # the first row at col_max
+        greater = np.empty(slab, dtype=bool)
+        rose = np.empty(slab, dtype=key_type)
+        for a in range(1, ph):
+            np.greater(rows[a], col_max, out=greater)
+            np.maximum(rows[a], col_max, out=col_max)  # col_max stays on a tie
+            np.multiply(greater, key_type.type(a), out=rose)
+            np.maximum(first, rose, out=first)
+        del greater, rose
+        # (pw, tiles, c): column b of every tile, contiguous
+        tiles = n * oh * ow
+        key = _columns_first(first, pw, c)
+        del first
+        key *= key_type.type(pw)
+        key += np.arange(pw, dtype=key_type)[:, None, None]  # a·pw + b, the winner's index
+        col_max = _columns_first(col_max, pw, c)
+        tile_max = col_max.max(axis=0)
+        if np.isnan(tile_max).any():
+            return self._first_equal(x, y, argmax)
+        below = np.not_equal(col_max, tile_max).astype(key_type)
+        key |= np.negative(below, out=below)  # all ones where a column's max is below the tile's
+        winner = key.min(axis=0)
+        argmax.reshape(tiles, c)[...] = winner
+        at = (winner % key_type.type(pw)).astype(np.intp)
+        at *= tiles * c
+        at += np.arange(tiles * c).reshape(tiles, c)
+        col_max.reshape(-1).take(at, out=y.reshape(tiles, c))
+
+    def _first_equal(self, x, y, argmax):
+        """Fill y with the strided max and argmax with each tile's first
+        position equal to it, or its first NaN when the max is NaN."""
+        n, _, _, c = x.shape
+        ph, pw = self.pool_h, self.pool_w
+        oh, ow = y.shape[1:3]
+        y[...] = self._tile_max(x)
         windows = x[:, : oh * ph, : ow * pw].reshape(n, oh, ph, ow, pw, c)
-        has_nan = bool(np.isnan(y).any())
-        argmax = np.empty(y.shape, dtype=np.intp)
         hit = np.empty(y.shape, dtype=bool)
+        # last offset to first, so the first hit is written last; y is one
+        # of its tile's values, so every tile has a hit
         for k in reversed(range(ph * pw)):
             at = windows[:, :, k // pw, :, k % pw, :]
             np.equal(at, y, out=hit)
-            if has_nan:
-                hit |= np.isnan(at)
+            hit |= np.isnan(at)
             np.copyto(argmax, k, where=hit)
-        return y, (argmax, x.shape)
 
     def backward(self, d_out, cache):
         argmax, x_shape = cache
@@ -363,6 +488,16 @@ class MaxPool2D(Layer):
         in_tile = (np.arange(ph)[:, None] * w + np.arange(pw)).ravel()
         pos = corner + in_tile[argmax.reshape(n, oh * ow, c)]
         return Routed(x_shape, pos, d_out.reshape(n, oh * ow, c)), {}
+
+
+def _columns_first(v, pw, c):
+    """v, whose last axis runs over tiles of pw columns of c values, as a
+    (pw, tiles, c) array: column b of every tile, contiguous. Each
+    column's c values move as one item."""
+    item = np.dtype((np.void, c * v.itemsize))
+    out = np.empty((pw, v.size // (pw * c)), dtype=item)
+    out[...] = v.reshape(-1, pw * c).view(item).T
+    return out.view(v.dtype).reshape(pw, -1, c)
 
 
 class BatchNorm(Layer):

@@ -6,6 +6,8 @@ import json
 import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from voicehand.synth import tone_samples, write_tone_dataset
 from voicehand.wav import write_wav
 
 from conftest import (JSON_VALUES, HalfWriter, patch_payload, read_csv_rows, tone_wav,
-                      write_word_tree)
+                      wav_bytes, write_word_tree)
 
 
 def run_cli(capsys, *argv):
@@ -901,3 +903,69 @@ def test_any_argv_and_stdin_end_in_an_exit_code(tmp_path, capsys, monkeypatch, d
     assert code in (0, 1, 2, 3)
     if code:
         assert err.startswith(LABELS[code])
+
+
+# ---------------------------------------------------------------- fuzzed dataset trees
+
+
+_PCM = (np.random.default_rng(12).normal(size=16000) * 800).astype(np.int16)
+# what a file in the tree may hold: a clip, a clip long enough to be noise,
+# a stereo one, a cut one, none and no WAV at all
+TREE_FILES = {"clip": wav_bytes(_PCM[:800]), "second": wav_bytes(_PCM),
+              "stereo": wav_bytes(_PCM[:800], channels=2), "cut": wav_bytes(_PCM[:800])[:30],
+              "empty": b"", "text": b"zero/a.wav\n"}
+
+
+@st.composite
+def dataset_trees(draw):
+    """(files, dirs) of a small dataset tree, as relative paths: word
+    folders, the noise folder and a folder named x.wav, each empty or
+    holding files and directories named *.wav, and list files that hold
+    lines naming its files or others, or any bytes, are missing, or are
+    directories."""
+    files, dirs = {}, []
+    folders = ["zero", "one", "hello", "_background_noise_", "x.wav"]
+    for folder in draw(st.lists(st.sampled_from(folders), unique=True, min_size=1, max_size=4)):
+        dirs.append(folder)
+        for name in draw(st.lists(st.sampled_from(["a.wav", "b.wav", "c.wav", "d.txt"]),
+                                  unique=True, max_size=3)):
+            # readable clips drawn more often, so that some runs train
+            kind = draw(st.sampled_from(["clip", "clip", "second"] + sorted(TREE_FILES) + ["dir"]))
+            if kind == "dir":
+                dirs.append(f"{folder}/{name}")
+            else:
+                files[f"{folder}/{name}"] = TREE_FILES[kind]
+    named = st.sampled_from(sorted(files) + ["zero/gone.wav", "", " one/a.wav "])
+    for name in ("validation_list.txt", "testing_list.txt"):
+        kind = draw(st.sampled_from(["lines"] * 5 + ["bytes", "missing", "dir"]))
+        if kind == "lines":
+            lines = draw(st.lists(named, max_size=4))
+            files[name] = "\n".join(lines).encode()
+        elif kind == "bytes":
+            files[name] = draw(st.binary(max_size=16))
+        elif kind == "dir":
+            dirs.append(name)
+    return files, dirs
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tree=dataset_trees(), augment=st.booleans(), split=st.sampled_from(["val", "test"]))
+def test_any_dataset_tree_ends_train_and_eval_in_an_exit_code(fresh, tmp_path, capsys, tree,
+                                                               augment, split):
+    root, out = Path(tempfile.mkdtemp(dir=tmp_path)), Path(tempfile.mkdtemp(dir=tmp_path))
+    files, dirs = tree
+    for d in dirs:
+        (root / d).mkdir()
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+    train = ["train", "--data-dir", str(root), "--out", str(out), "--epochs", "1",
+             "--batch-size", "4"] + ([] if augment else ["--no-augment"])
+    evaluate = ["eval", "--checkpoint", str(fresh / "fresh.ckpt"), "--data-dir", str(root),
+                "--split", split]
+    for argv in (train, evaluate):
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        assert len(err.splitlines()) <= (1 if code else 0)
+        if code:
+            assert err.startswith(LABELS[code])

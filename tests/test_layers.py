@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from voicehand.errors import VoicehandError
-from voicehand.layers import (CHUNK_ROWS, BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool2D,
-                              Routed, relu_grad, softmax)
+from voicehand.errors import CheckpointError, VoicehandError
+from voicehand.layers import (CHUNK_ROWS, POOL_CHUNK, ROW_BLOCK, BatchNorm, Conv2D, Dense, Dropout,
+                              Flatten, MaxPool2D, Routed, relu_grad, softmax)
 
 from conftest import assert_same_grad_bits
 
@@ -580,9 +580,9 @@ POOL_VALUES = [-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan]
        normal_share=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
 def test_pool_train_routing_is_argmax_for_any_values(data, dtype, n, ph, pw, values,
                                                      normal_share, seed):
-    # train mode finds each tile's winner as its first position equal to
-    # the strided max (its first NaN in a NaN tile); the reference is
-    # argmax over an explicit copy of the tiles
+    # train mode's winner is each tile's first max in row-major order (its
+    # first NaN in a NaN tile); the reference is argmax over an explicit
+    # copy of the tiles
     shape = (n, data.draw(st.integers(ph, 3 * ph + 2)),
              data.draw(st.integers(pw, 3 * pw + 2)), data.draw(st.integers(1, 3)))
     rng = np.random.default_rng(seed)
@@ -700,11 +700,13 @@ def _assert_matches_reference(layer, x, d_out, got_x, grads):
         assert np.abs(got - oracle).max() <= 64 * eps * np.abs(oracle).max()
 
 
-# conv1 on a full window (offset-major patches), conv1 on a 70 ms stream
-# hop's 11 frames and conv2 on pool1's output (both row-major)
+# conv1 on a full window (row blocks), conv1 on a 70 ms stream hop's 11
+# frames and conv2 on pool1's output (both row-major), and conv1 on 131
+# rows, whose 122 output rows end in a short row block
 NETWORK_CONVS = [((10, 7, 1, 8), (1, 129, 71, 1)), ((10, 7, 1, 8), (2, 129, 71, 1)),
                  ((10, 7, 1, 8), (1, 129, 11, 1)),
-                 ((7, 5, 8, 32), (1, 17, 13, 8)), ((7, 5, 8, 32), (2, 17, 13, 8))]
+                 ((7, 5, 8, 32), (1, 17, 13, 8)), ((7, 5, 8, 32), (2, 17, 13, 8)),
+                 ((10, 7, 1, 8), (2, 131, 71, 1))]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -733,7 +735,7 @@ def test_conv_weight_gradient_chunks_that_end_a_clip_short(dtype, cin):
     # 38x298 = 11324 output positions a clip, not a multiple of
     # CHUNK_ROWS: one chunk holds the end of the first clip and the start
     # of the second, and the batch ends in a shorter chunk; one channel
-    # lowers offset-major in forward, two row-major
+    # lowers row blocks in forward, two row-major
     assert 11324 % CHUNK_ROWS and 2 * 11324 % CHUNK_ROWS
     rng = np.random.default_rng(43)
     layer = Conv2D("c", rng.normal(size=(3, 3, cin, 2)).astype(dtype),
@@ -743,3 +745,113 @@ def test_conv_weight_gradient_chunks_that_end_a_clip_short(dtype, cin):
     assert_same_bits(y, _reference(layer, x, y)[0])
     d_out = rng.normal(size=y.shape).astype(dtype)
     _assert_matches_reference(layer, x, d_out, *layer.backward(d_out, cache))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv1_on_a_140_ms_hop_is_the_column_major_product(dtype):
+    # conv1 on a 140 ms stream hop's 16 frames lowers row blocks. In
+    # float32 the row-major (1200, 70) @ (70, 8) product is small enough
+    # for OpenBLAS's small-matrix kernel, which rounds differently from
+    # its regular kernel; row blocks, a full window's row-major product
+    # and a column-major patch matrix's go through the regular one
+    rng = np.random.default_rng(42)
+    layer = Conv2D("c", (rng.normal(size=(10, 7, 1, 8)) * 0.2).astype(dtype),
+                   (rng.normal(size=8) * 0.1).astype(dtype))
+    x = rng.normal(size=(1, 129, 16, 1)).astype(dtype)
+    cols = np.asfortranarray(_lowered(layer, x))
+    want = np.maximum(cols @ layer.weights.reshape(-1, 8) + layer.biases, 0.0)
+    y, cache = layer.forward(x, "train")
+    assert_same_bits(y, want.reshape(y.shape))
+    assert_same_bits(layer.forward(x, "infer")[0], y)
+    d_out = rng.normal(size=y.shape).astype(dtype)
+    _assert_matches_reference(layer, x, d_out, *layer.backward(d_out, cache))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_row_blocks_keep_the_sign_of_zero(dtype):
+    # an all-zero clip (+0.0, then -0.0) makes every product a signed zero,
+    # and signed-zero biases make the pre-activations' sign depend on the
+    # order of the adds; they match the row-major patch matrix's, zero
+    # taps and all; 131 rows make 122 output rows, a short last row block
+    assert (131 - 10 + 1) % ROW_BLOCK
+    rng = np.random.default_rng(44)
+    layer = Conv2D("c", rng.normal(size=(10, 7, 1, 8)).astype(dtype),
+                   np.array([0.0, -0.0] * 3 + [0.5, -0.5], dtype=dtype))
+    x = np.zeros((2, 131, 71, 1), dtype=dtype)
+    x[1] = -0.0
+    z = np.empty((2, 122, 65, 8), dtype=dtype)
+    for _ in layer._row_blocks(x, z):
+        pass
+    want = _lowered(layer, x) @ layer.weights.reshape(-1, 8) + layer.biases
+    assert_same_bits(z, want.reshape(z.shape))
+    y, _ = layer.forward(x, "train")
+    assert_same_bits(y, _reference(layer, x, y)[0])
+    assert_same_bits(layer.forward(x, "infer")[0], y)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_input_value_spreads_over_its_row_block_and_is_refused(value):
+    from voicehand.network import INPUT_SHAPE, build_network, run_layers
+
+    net = build_network(seed=3)
+    x = np.random.default_rng(45).normal(size=(1,) + INPUT_SHAPE).astype(np.float32)
+    x[0, 0, 0, 0] = value
+    with np.errstate(invalid="ignore", over="ignore"):
+        z, _ = net.layers[0].forward(x)
+    # only output row 0 weighs the value; the other rows of its block take
+    # it times a zero tap, which is NaN, in the one column that reads it
+    assert np.isnan(z[0, 1:ROW_BLOCK, 0]).all()
+    assert np.isfinite(z[0, :, 1:]).all() and np.isfinite(z[0, ROW_BLOCK:]).all()
+    with pytest.raises(CheckpointError), np.errstate(invalid="ignore", over="ignore"):
+        run_layers(net.layers, x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_train_routing_is_argmax_chunk_by_chunk(dtype):
+    # pool1's input at batch 20 goes in chunks of 8, 8 and 4 clips, in
+    # infer mode too; a NaN sends the second chunk alone through the
+    # first-equal scan. Every tile's max is a signed zero or, in about half
+    # the tiles of every other clip, 0.5, so nearly every tile holds a tie
+    assert POOL_CHUNK // (120 * 65 * 8) == 8
+    rng = np.random.default_rng(47)
+    x = rng.choice(np.array([-1.0, -0.0, 0.0]), size=(20, 120, 65, 8))
+    x[::2] = np.where(rng.random(x[::2].shape) < 0.02, 0.5, x[::2])
+    x = x.astype(dtype)
+    x[9, 3, 4, 5] = np.nan
+    layer = MaxPool2D("p", 7, 5)
+    y, (argmax, _) = layer.forward(x, "train")
+    np.testing.assert_array_equal(argmax, layer.tiles(x).argmax(axis=3))
+    assert_same_bits(y, layer._tile_max(x))
+    y_infer, cache = layer.forward(x, "infer")
+    assert cache is None
+    assert_same_bits(y_infer, y)
+
+
+def test_pool_routes_a_tile_of_more_than_255_values():
+    # 16x17 tiles: the winners' keys a·pw + b run to 271, past uint8
+    rng = np.random.default_rng(48)
+    x = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5]), size=(2, 33, 35, 3), p=[0.6, 0.2, 0.19, 0.01])
+    x[0, :16, :17, 0] = -1.0
+    x[0, 15, 3:17, 0] = [-0.0, 0.0, 2.0, 2.0] + [0.0] * 10  # the winner, 2.0 at 15·17 + 5
+    layer = MaxPool2D("p", 16, 17)
+    y, (argmax, _) = layer.forward(x, "train")
+    np.testing.assert_array_equal(argmax, layer.tiles(x).argmax(axis=3))
+    assert argmax[0, 0, 0, 0] == 260
+    assert_same_bits(y, layer._tile_max(x))
+
+
+def test_pool1_train_forward_peaks_below_5_mib():
+    # rows first over 8 clips at a time, each temporary a fraction of the
+    # (64, 120, 65, 8) float32 input (16 MB); the first-equal scan over
+    # the whole batch peaked at 6.1 MiB
+    layer = MaxPool2D("pool1", 7, 5)
+    x = np.random.default_rng(46).normal(size=(64, 120, 65, 8)).astype(np.float32)
+    np.maximum(x, 0.0, out=x)
+    layer.forward(x[:1], "train")
+    tracemalloc.start()
+    try:
+        layer.forward(x, "train")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20

@@ -375,8 +375,8 @@ def test_infer_forward_keeps_no_batch_sized_patch_matrix():
 
 def test_train_step_keeps_no_patch_matrix():
     # conv1's batch-16 patch matrix alone is 35 MiB of float32; train mode
-    # caches conv1's input and ReLU mask, and backward lowers the patches
-    # again in chunks of 15 output rows
+    # caches conv1's input and ReLU mask, and backward gathers the pool
+    # winners' patches in chunks of CHUNK_ROWS rows
     net = build_network(seed=3)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(16,) + INPUT_SHAPE).astype(np.float32)
