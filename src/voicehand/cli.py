@@ -3,7 +3,8 @@ features.
 
 Exit codes: 0 success, 1 usage error (bad flags/config), 2 data error
 (unreadable audio or dataset), 3 checkpoint error (missing, corrupt, or
-mismatched weight file, or weights whose outputs are not finite).
+mismatched weight file, or weights whose outputs are not finite). A
+reader that closes stdout early ends the command silently with 0.
 """
 
 import argparse
@@ -310,13 +311,32 @@ def build_parser() -> Parser:
     return parser
 
 
+def _stdout_to_devnull():
+    """Point stdout's descriptor at the null device, so the interpreter's
+    exit flush of what is still buffered raises nothing more."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # an in-process stream with no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         # an overflow surfaces as the CheckpointError it leads to, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left (`stream ... | head -1`); what it read
+        # stands. No other file this program writes is a pipe.
+        _stdout_to_devnull()
+        return 0
     except (VoicehandError, OSError) as e:
         # an OSError is unreadable data: a dataset, a noise clip, an output path
         error = e if isinstance(e, VoicehandError) else VoicehandError

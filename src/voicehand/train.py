@@ -76,21 +76,43 @@ def cross_entropy(probs: np.ndarray, labels) -> float:
 
 
 class ClipStore:
-    """Clips cached by path as int16 PCM, so repeated epochs skip the file
-    reads. A path keeps at most its first WINDOW_SAMPLES samples, all that
-    `to_window` reads (32 KB, where the float64 window is 128 KB), and
-    `window` scales and pads them again on every call: int16 / 32768 is
-    exact in float64, so each call returns the same bits as a fresh
-    `to_window(read_wav(path))`, in a new array the caller may change."""
+    """Clips cached by path, so repeated epochs skip the file reads and
+    repeated evaluations skip the spectrograms.
+
+    `window(path)` serves training, whose windows are augmented afresh
+    every epoch. The path keeps at most its first WINDOW_SAMPLES samples
+    as int16 PCM, all that `to_window` reads (32 KB, where the float64
+    window is 128 KB), scaled and padded again on every call: int16 /
+    32768 is exact in float64, so each call returns the same bits as a
+    fresh `to_window(read_wav(path))`, in a new array the caller may
+    change.
+
+    `features(path, dtype)` serves evaluation, whose clips never change.
+    The first call computes the (129, 71) log power spectrogram, as
+    `_features_batch` does, cast to `dtype`; every call returns that one
+    read-only array. Entries are keyed by (path, dtype), so float32 and
+    float64 networks never share one. The path's PCM is dropped then, so
+    an evaluated clip is held once, 36.6 KB of float32; a later `window`
+    on it reads the file again and returns the same bits."""
 
     def __init__(self):
         self._cache = {}
+        self._features = {}
 
     def window(self, path) -> np.ndarray:
         key = str(path)
         if key not in self._cache:
             self._cache[key] = AudioClip(read_wav(path).samples[:WINDOW_SAMPLES].copy())
         return to_window(self._cache[key])
+
+    def features(self, path, dtype) -> np.ndarray:
+        key = (str(path), np.dtype(dtype))
+        if key not in self._features:
+            features = log_compress(stft_power(self.window(path))).astype(key[1])
+            features.flags.writeable = False
+            self._features[key] = features
+            del self._cache[key[0]]
+        return self._features[key]
 
 
 def _augmented_window(window, pool, config: TrainConfig, epoch: int, index: int):
@@ -140,14 +162,17 @@ def train_epoch(network: Network, entries, store: ClipStore, pool, optimizer: Ad
 
 def evaluate(network: Network, entries, store: ClipStore = None, batch_size: int = 64):
     """Inference-mode accuracy and 9x9 confusion matrix (rows true class,
-    columns predicted) over `entries`, no augmentation."""
+    columns predicted) over `entries`, no augmentation. Each clip's
+    features come from `store`, computed on its first evaluation only."""
     if not entries:
         raise VoicehandError("no entries to evaluate")
     store = store or ClipStore()
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     for start in range(0, len(entries), batch_size):
         chunk = entries[start : start + batch_size]
-        batch = _features_batch([store.window(e.path) for e in chunk], network.dtype)
+        batch = np.empty((len(chunk),) + INPUT_SHAPE, dtype=network.dtype)
+        for row, entry in enumerate(chunk):
+            batch[row, :, :, 0] = store.features(entry.path, network.dtype)
         probs, _ = network.forward(batch, mode="infer")
         predicted = np.argmax(probs, axis=1)
         for entry, p in zip(chunk, predicted):

@@ -16,9 +16,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .layers import BatchNorm, Dropout
-from .network import INPUT_SHAPE, Network, run_layers
-from .train import N_CLASSES, cross_entropy
+from voicehand.layers import BatchNorm, Dropout
+from voicehand.network import INPUT_SHAPE, Network, run_layers
+from voicehand.train import N_CLASSES, cross_entropy
 
 DENOM_FLOOR = 1e-5  # smallest denominator of a relative error; see gradient_check
 

@@ -21,7 +21,6 @@ from voicehand.commands import StreamConfig, stream_decode
 from voicehand.dataset import index_dataset, subsample_unknown
 from voicehand.features import FEATURE_SHAPE, compute_features, log_compress, stft_power
 from voicehand.gestures import GestureClass, GestureTable, lookup_trajectory
-from voicehand.gradcheck import draw_checkable_batch, gradient_check
 from voicehand.network import (
     INPUT_SHAPE,
     REFERENCE_LAYER_PARAMS,
@@ -35,6 +34,7 @@ from voicehand.train import ClipStore, TrainConfig, evaluate, fit, one_hot, trai
 from voicehand.wav import AudioClip
 
 from conftest import GRADCHECK_THRESHOLDS, inflate_convs, read_csv_rows
+from gradcheck import draw_checkable_batch, gradient_check
 
 REAL_DATA_ENV = "VOICEHAND_SPEECH_COMMANDS_DIR"
 

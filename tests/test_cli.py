@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -388,6 +389,43 @@ def test_stream_bad_input_scheme_is_usage_error(trained, capsys):
                            "--input", "microphone")
     assert code == 1
     assert "usage error" in err
+
+
+def test_stream_into_a_closed_reader_exits_0_silently(trained, tmp_path):
+    # both ends of the stdout pipe are closed here before the child gets
+    # its input, so its first decision line meets a pipe with no reader;
+    # its stdout is buffered, as a shell starts it, so the failed line is
+    # still buffered when the interpreter exits
+    _, samples = _long_recording(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "voicehand.cli", "stream",
+         "--checkpoint", str(trained.best_ckpt), "--input", "pcm-stdin"],
+        stdin=subprocess.PIPE, stdout=write_end, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_end)
+    os.close(read_end)
+    _, err = proc.communicate(samples.astype("<i2").tobytes(), timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+
+
+class _FailingStdout(io.StringIO):
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+def test_closed_stdout_is_not_a_data_error_but_other_write_errors_are(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(BrokenPipeError(32, "Broken pipe")))
+    assert main(["inspect", "--fresh"]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(OSError(28, "No space left on device")))
+    assert main(["inspect", "--fresh"]) == 2
+    assert capsys.readouterr().err == "data error: [Errno 28] No space left on device\n"
 
 
 def test_stream_deeply_nested_gesture_table_is_data_error(trained, tmp_path, capsys):

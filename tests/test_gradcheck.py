@@ -9,13 +9,13 @@ dense-only network where smoothness permits a far tighter tolerance.
 import numpy as np
 import pytest
 
-from voicehand.gradcheck import draw_checkable_batch, gradient_check, tie_margins
 from voicehand.layers import Dense, Dropout
 from voicehand.network import INPUT_SHAPE, Network, build_network
 from voicehand.rng import substream
 from voicehand.train import one_hot
 
 from conftest import GRADCHECK_THRESHOLDS, inflate_convs
+from gradcheck import draw_checkable_batch, gradient_check, tie_margins
 
 
 def _dense_only(seed=5):

@@ -61,19 +61,27 @@ def test_cross_entropy_mixed_case_oracle():
     assert np.isclose(cross_entropy(probs, [0, 1]), want)
 
 
-def test_clip_store_caches_windows(tmp_path, monkeypatch):
-    # the store reads each file once, keeps at most one window of int16
-    # samples per path, and returns to_window(read_wav(path))'s bits, in a
-    # fresh array, on every call
-    import voicehand.train as train
-    from voicehand.audio import to_window
-    from voicehand.wav import read_wav, write_wav
+def _pcm_files(tmp_path):
+    """A padded, an exact and a truncated clip of random int16 samples."""
+    from voicehand.wav import write_wav
 
     rng = np.random.default_rng(4)
     paths = []
     for name, n in (("short", 9000), ("exact", 16000), ("long", 23000)):
         paths.append(tmp_path / f"{name}.wav")
         write_wav(paths[-1], rng.integers(-32768, 32768, size=n, dtype=np.int16))
+    return paths
+
+
+def test_clip_store_caches_windows(tmp_path, monkeypatch):
+    # the store reads each file once, keeps at most one window of int16
+    # samples per path, and returns to_window(read_wav(path))'s bits, in a
+    # fresh array, on every call
+    import voicehand.train as train
+    from voicehand.audio import to_window
+    from voicehand.wav import read_wav
+
+    paths = _pcm_files(tmp_path)
     reads = []
     monkeypatch.setattr(train, "read_wav", lambda path: reads.append(path) or read_wav(path))
     store = ClipStore()
@@ -89,6 +97,109 @@ def test_clip_store_caches_windows(tmp_path, monkeypatch):
     for clip in store._cache.values():
         assert clip.samples.dtype == np.int16 and len(clip.samples) <= 16000
         assert clip.samples.base is None  # owns its data: a long file is not kept alive
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_clip_store_features_are_the_fresh_bits_read_only(tmp_path, dtype):
+    # the cached features equal a fresh spectrogram of the clip, cast as
+    # a training batch casts it, and nobody can change them in place
+    from voicehand.audio import to_window
+    from voicehand.train import _features_batch
+    from voicehand.wav import read_wav
+
+    store = ClipStore()
+    for path in _pcm_files(tmp_path):
+        features = store.features(path, dtype)
+        want = _features_batch([to_window(read_wav(path))], dtype)[0, :, :, 0]
+        assert features.shape == (129, 71) and features.dtype == dtype
+        assert features.tobytes() == want.tobytes()
+        assert not features.flags.writeable
+        with pytest.raises(ValueError):
+            features[0, 0] = 0.0
+        assert store.features(str(path), np.dtype(dtype)) is features
+
+
+def test_clip_store_keys_features_by_dtype(tmp_path):
+    path = _pcm_files(tmp_path)[0]
+    store = ClipStore()
+    single = store.features(path, np.float32)
+    double = store.features(path, np.float64)
+    assert single.dtype == np.float32 and double.dtype == np.float64
+    np.testing.assert_array_equal(single, double.astype(np.float32))
+    assert store.features(path, np.float32) is single
+
+
+def test_clip_store_features_drop_the_pcm_and_window_reads_again(tmp_path, monkeypatch):
+    # an evaluated clip is held once, as features; a later window() reads
+    # the file again and returns the same bits as before
+    import voicehand.train as train
+    from voicehand.wav import read_wav
+
+    reads = []
+    monkeypatch.setattr(train, "read_wav", lambda path: reads.append(path) or read_wav(path))
+    store = ClipStore()
+    for path in _pcm_files(tmp_path):
+        before = store.window(path)
+        store.features(path, np.float32)
+        assert str(path) not in store._cache
+        after = store.window(path)
+        np.testing.assert_array_equal(after.view(np.uint64), before.view(np.uint64))
+        assert reads[-2:] == [path, path]
+
+
+def test_second_evaluate_computes_no_features(tiny_tree, monkeypatch):
+    import voicehand.train as train
+    from voicehand.wav import read_wav
+
+    calls = {"stft_power": 0, "read_wav": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(train, "stft_power", counted("stft_power", train.stft_power))
+    monkeypatch.setattr(train, "read_wav", counted("read_wav", read_wav))
+    entries = index_dataset(tiny_tree).split_entries("train")
+    net = _small_net()
+    store = ClipStore()
+    evaluate(net, entries, store, batch_size=3)
+    assert calls == {"stft_power": len(entries), "read_wav": len(entries)}
+    evaluate(net, entries, store, batch_size=3)
+    assert calls == {"stft_power": len(entries), "read_wav": len(entries)}
+
+
+def test_evaluate_is_the_same_with_cold_warm_and_no_store(tiny_tree):
+    # the network sees the bits of an uncached batch of fresh features and
+    # the confusion is theirs, whichever store evaluate reads
+    from voicehand.audio import to_window
+    from voicehand.train import _features_batch
+    from voicehand.wav import read_wav
+
+    entries = index_dataset(tiny_tree).split_entries("train")
+    net = _small_net()
+    want_batches = []
+    want = np.zeros((9, 9), dtype=np.int64)
+    for start in range(0, len(entries), 3):
+        chunk = entries[start : start + 3]
+        want_batches.append(
+            _features_batch([to_window(read_wav(e.path)) for e in chunk], net.dtype))
+        probs, _ = net.forward(want_batches[-1], mode="infer")
+        for entry, p in zip(chunk, np.argmax(probs, axis=1)):
+            want[int(entry.label), int(p)] += 1
+    forward = net.forward
+    batches = []
+    net.forward = lambda x, **kwargs: batches.append(x.copy()) or forward(x, **kwargs)
+    store = ClipStore()
+    for run_store in (None, store, store):  # no store, cold, warm
+        batches.clear()
+        accuracy, confusion = evaluate(net, entries, run_store, batch_size=3)
+        np.testing.assert_array_equal(confusion, want)
+        assert accuracy == float(np.trace(want) / len(entries))
+        assert len(batches) == len(want_batches)
+        for got, expected in zip(batches, want_batches):
+            np.testing.assert_array_equal(got.view(np.uint8), expected.view(np.uint8))
 
 
 @pytest.fixture
