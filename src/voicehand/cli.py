@@ -3,8 +3,9 @@ features.
 
 Exit codes: 0 success, 1 usage error (bad flags/config), 2 data error
 (unreadable audio or dataset), 3 checkpoint error (missing, corrupt, or
-mismatched weight file, or weights whose outputs are not finite). A
-reader that closes stdout early ends the command silently with 0.
+mismatched weight file, or weights whose outputs are not finite), 130
+interrupted (SIGINT). A reader that closes stdout early ends the command
+silently with 0, and so does SIGINT during `stream`, whose input it ends.
 """
 
 import argparse
@@ -325,6 +326,7 @@ def _stdout_to_devnull():
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         # an overflow surfaces as the CheckpointError it leads to, not a warning
@@ -337,6 +339,13 @@ def main(argv=None) -> int:
         # stands. No other file this program writes is a pipe.
         _stdout_to_devnull()
         return 0
+    except KeyboardInterrupt:
+        # Ctrl-C ends a stream's input, and the decisions it printed stand;
+        # any other command stops where it is
+        if args is not None and args.command == "stream":
+            return 0
+        print("interrupted", file=sys.stderr)
+        return 130
     except (VoicehandError, OSError) as e:
         # an OSError is unreadable data: a dataset, a noise clip, an output path
         error = e if isinstance(e, VoicehandError) else VoicehandError

@@ -19,8 +19,10 @@ Neither copies its input. Backward needs a train-mode cache.
 
 Every backward returns a dense input gradient except MaxPool2D's: a
 pool tile passes its gradient to one input, its winner, so the pool
-returns a `Routed` gradient listing the winners, and the Conv2D below
-reads its ReLU mask and gathers patches at those positions only.
+returns a `Routed` gradient listing the winners. Conv2D's backward
+takes only a `Routed` gradient, as both of the network's convs sit
+under pools: it reads its ReLU mask and gathers patches at the listed
+positions only.
 
 Conv2D's forward runs the convolution as matmuls on patch matrices
 lowered one clip at a time into one reused buffer. With one input
@@ -122,22 +124,11 @@ class Routed(NamedTuple):
     channel ch. A position is listed at most once per clip and channel.
 
     MaxPool2D.backward returns one listing each tile's winner, so the
-    conv layer below reads its ReLU mask and patches at the winners only.
-    `Routed.of` lists every position of a dense gradient, the one
-    conversion a dense gradient handed to a conv layer takes."""
+    conv layer below reads its ReLU mask and patches at the winners only."""
 
     shape: tuple
     pos: np.ndarray
     grad: np.ndarray
-
-    @classmethod
-    def of(cls, d):
-        """d itself if it is Routed; else every position of the dense d."""
-        if isinstance(d, cls):
-            return d
-        n, h, w, c = d.shape
-        pos = np.broadcast_to(np.arange(h * w)[:, None], (n, h * w, c))
-        return cls(d.shape, pos, d.reshape(n, h * w, c))
 
     def dense(self):
         """The gradient as a (n, h, w, c) array, +0.0 where nothing is listed."""
@@ -187,26 +178,26 @@ class Conv2D(Layer):
     frames, ow 5) a patch row is one output position, lowered row-major
     by `lowered`, one run of fw·cin values per filter row.
 
-    Backward takes the output gradient as a `Routed` (a dense one goes
-    through `Routed.of`). Below a max pool only each tile's winner has a
-    gradient, 1 in 35 conv1 outputs. Backward reads the ReLU mask at the
-    listed entries only; a tile whose ReLU outputs are all 0 lists its
-    first position, whose mask is off, so it passes no gradient. It
-    gathers the patches of the rows listed in some channel, in row-major
-    order, from the cached input, which must not change between the two
-    calls: a patch is fh runs of fw·cin neighbouring input values, copied
-    a run at a time. The bias gradient sums the masked gradient over the
-    listed entries. The weight gradient is summed chunk by chunk, `d_w
-    += cols_k.T @ dz_k`, over CHUNK_ROWS gathered rows at a time (the
-    last chunk shorter), in order. Fixing the chunks fixes the summation
-    order: one gemm over every row of the batch is split by OpenBLAS in
-    a way that depends on its thread count, and gave different
-    weight-gradient bits at 1 and 2 threads. The input gradient fills
-    the masked gradient into a dense (n·oh·ow, cout) array, multiplies
-    it by one filter tap's (cin, cout) weights at a time and adds each
-    product at its tap's offset, so each add runs over rows of ow·cin
-    contiguous values. As a network's first layer Conv2D runs backward
-    with input_grad=False, which skips the input gradient.
+    Backward takes the output gradient as a `Routed`, the max pool's
+    above it: only each tile's winner has a gradient, 1 in 35 conv1
+    outputs. Backward reads the ReLU mask at the listed entries only; a
+    tile whose ReLU outputs are all 0 lists its first position, whose
+    mask is off, so it passes no gradient. It gathers the patches of the
+    rows listed in some channel, in row-major order, from the cached
+    input, which must not change between the two calls: a patch is fh
+    runs of fw·cin neighbouring input values, copied a run at a time.
+    The bias gradient sums the masked gradient over the listed entries.
+    The weight gradient is summed chunk by chunk, `d_w += cols_k.T @
+    dz_k`, over CHUNK_ROWS gathered rows at a time (the last chunk
+    shorter), in order. Fixing the chunks fixes the summation order: one
+    gemm over every row of the batch is split by OpenBLAS in a way that
+    depends on its thread count, and gave different weight-gradient bits
+    at 1 and 2 threads. The input gradient fills the masked gradient
+    into a dense (n·oh·ow, cout) array, multiplies it by one filter
+    tap's (cin, cout) weights at a time and adds each product at its
+    tap's offset, so each add runs over rows of ow·cin contiguous
+    values. As a network's first layer Conv2D runs backward with
+    input_grad=False, which skips the input gradient.
     """
 
     PARAMS = ("weights", "biases")
@@ -297,12 +288,11 @@ class Conv2D(Layer):
             buf[...] = patches[i]
             yield i, cols
 
-    def backward(self, d_out, cache, input_grad=True):
+    def backward(self, routed, cache, input_grad=True):
         x, active = cache
         fh, fw, cin, cout = self.weights.shape
         n, oh, ow, _ = active.shape
         plane = oh * ow
-        routed = Routed.of(d_out)
         at = routed.pos + np.arange(0, n * plane, plane)[:, None, None]  # row in (n·oh·ow)
         entry = at * cout + np.arange(cout)  # element of (n, oh, ow, cout)
         dz = relu_grad(routed.grad, active.reshape(-1).take(entry))
@@ -344,19 +334,19 @@ class MaxPool2D(Layer):
     argmax's first-max rule, sign of zero included, in either mode and
     by either of two scans.
 
-    The winners' scan finds each tile's winner, argmax's index into
-    `tiles`, and returns the winner's own bits. It works rows first over
-    contiguous slabs of ow·pw·c values, POOL_CHUNK input values at a
-    time: for each tile column a running max, and the first row that
-    reached it, `first = max(first, (row > max) · a)`. It then moves the
-    columns to the front, the c values of a tile column as one item, and
-    takes among the columns whose max equals the tile's the smallest
-    a·pw + b, in the smallest unsigned type that holds pw·ph. NaN is
-    greater than nothing, so the scan cannot find it; a chunk holding
-    one takes the winner as the first position equal to the strided max
-    below, or the first NaN, by comparing each offset's strided view
-    with it, and that max's bits as y. No copy of the input is made
-    (pool1's at batch 64 is 16 MB).
+    The winners' scan finds each tile's winner, argmax's index into the
+    tile's values in row-major order, and returns the winner's own bits.
+    It works rows first over contiguous slabs of ow·pw·c values,
+    POOL_CHUNK input values at a time: for each tile column a running
+    max, and the first row that reached it, `first = max(first, (row >
+    max) · a)`. It then moves the columns to the front, the c values of
+    a tile column as one item, and takes among the columns whose max
+    equals the tile's the smallest a·pw + b, in the smallest unsigned
+    type that holds pw·ph. NaN is greater than nothing, so the scan
+    cannot find it; a chunk holding one takes the winner as the first
+    position equal to the strided max below, or the first NaN, by
+    comparing each offset's strided view with it, and that max's bits as
+    y. No copy of the input is made (pool1's at batch 64 is 16 MB).
 
     The strided max takes np.maximum over the pool_w column offsets,
     then over the pool_h row offsets, of strided views of the input,
@@ -381,15 +371,6 @@ class MaxPool2D(Layer):
         super().__init__(name)
         self.pool_h = pool_h
         self.pool_w = pool_w
-
-    def tiles(self, x):
-        """Windows of x as (n, oh, ow, pool_h * pool_w, c), row-major within a window."""
-        n, h, w, c = x.shape
-        ph, pw = self.pool_h, self.pool_w
-        oh, ow = h // ph, w // pw
-        cropped = x[:, : oh * ph, : ow * pw, :]
-        tiles = cropped.reshape(n, oh, ph, ow, pw, c).transpose(0, 1, 3, 2, 4, 5)
-        return tiles.reshape(n, oh, ow, ph * pw, c)
 
     def _tile_max(self, x):
         """Each tile's max: np.maximum over the pool_w column offsets, then
@@ -566,16 +547,16 @@ class Flatten(Layer):
 class Dense(Layer):
     """Fully connected layer: out = activation(x @ W + b).
 
-    activation is "relu", "softmax", or None. Backward takes the
-    gradient at the activation's output, except for softmax: a softmax
-    Dense ends the network, whose loss gradient is fused with the softmax
-    and arrives at the logits (see `Network.backward`), so its backward
-    takes the gradient at the logits.
+    activation is "relu" or "softmax". Backward takes the gradient at the
+    ReLU's output, but a softmax Dense ends the network, whose loss
+    gradient is fused with the softmax and arrives at the logits (see
+    `Network.backward`), so its backward takes the gradient at the
+    logits.
     """
 
     PARAMS = ("weights", "biases")
 
-    def __init__(self, name, weights, biases, activation=None):
+    def __init__(self, name, weights, biases, activation):
         super().__init__(name)
         self.weights = weights
         self.biases = biases
@@ -589,9 +570,7 @@ class Dense(Layer):
         z = x @ self.weights + self.biases
         if self.activation == "relu":
             return np.maximum(z, 0.0), (x, z > 0.0)
-        if self.activation == "softmax":
-            return softmax(z), (x, None)
-        return z, (x, None)
+        return softmax(z), (x, None)
 
     def backward(self, d_out, cache, input_grad=True):
         x, active = cache

@@ -37,11 +37,6 @@ ARCH = (
     {"type": "dense", "name": "dense2", "units": 9, "activation": "softmax"},
 )
 
-# reference per-layer parameter counts (batch-norm rows include moving stats)
-REFERENCE_LAYER_PARAMS = (568, 0, 32, 8992, 0, 128, 0, 12352, 0, 585)
-REFERENCE_TRAINABLE = 22577
-REFERENCE_NON_TRAINABLE = 80
-
 
 @dataclass
 class ForwardTrace:
@@ -221,6 +216,6 @@ def layer_table(network: Network):
             detail = f"{spec['units']} units"
         else:
             detail = "-"
-        activation = spec.get("activation", "-") or "-"
+        activation = spec.get("activation", "-")
         rows.append((i, kind, detail, activation, "x".join(map(str, shape)), n_params))
     return rows

@@ -89,11 +89,12 @@ class ClipStore:
 
     `features(path, dtype)` serves evaluation, whose clips never change.
     The first call computes the (129, 71) log power spectrogram, as
-    `_features_batch` does, cast to `dtype`; every call returns that one
-    read-only array. Entries are keyed by (path, dtype), so float32 and
-    float64 networks never share one. The path's PCM is dropped then, so
-    an evaluated clip is held once, 36.6 KB of float32; a later `window`
-    on it reads the file again and returns the same bits."""
+    `train_epoch` does for each row of its batch, cast to `dtype`; every
+    call returns that one read-only array. Entries are keyed by (path,
+    dtype), so float32 and float64 networks never share one. The path's
+    PCM is dropped then, so an evaluated clip is held once, 36.6 KB of
+    float32; a later `window` on it reads the file again and returns the
+    same bits."""
 
     def __init__(self):
         self._cache = {}
@@ -123,13 +124,6 @@ def _augmented_window(window, pool, config: TrainConfig, epoch: int, index: int)
     return mix_noise(window, pool, gain, int(rng.integers(2**63)))
 
 
-def _features_batch(windows, dtype) -> np.ndarray:
-    batch = np.empty((len(windows),) + INPUT_SHAPE, dtype=dtype)
-    for row, window in enumerate(windows):
-        batch[row, :, :, 0] = log_compress(stft_power(window))
-    return batch
-
-
 def train_epoch(network: Network, entries, store: ClipStore, pool, optimizer: Adam,
                 config: TrainConfig, epoch: int):
     """One pass over the training entries; returns (mean loss, accuracy)
@@ -139,16 +133,15 @@ def train_epoch(network: Network, entries, store: ClipStore, pool, optimizer: Ad
     total_correct = 0
     for start in range(0, len(order), config.batch_size):
         chosen = order[start : start + config.batch_size]
-        windows = []
+        batch = np.empty((len(chosen),) + INPUT_SHAPE, dtype=network.dtype)
         labels = np.empty(len(chosen), dtype=np.int64)
         for row, idx in enumerate(chosen):
             entry = entries[idx]
             window = store.window(entry.path)
             if config.augment:
                 window = _augmented_window(window, pool, config, epoch, int(idx))
-            windows.append(window)
+            batch[row, :, :, 0] = log_compress(stft_power(window))
             labels[row] = int(entry.label)
-        batch = _features_batch(windows, network.dtype)
         dropout_rng = substream(config.seed, "dropout", epoch, start)
         probs, trace = network.forward(batch, mode="train", dropout_rng=dropout_rng)
         grads = network.backward(trace, one_hot(labels, dtype=network.dtype))

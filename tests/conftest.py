@@ -181,6 +181,13 @@ def inflate_convs(network, scale=1000.0):
     return network
 
 
+# The paper's per-layer parameter counts (batch-norm rows include the
+# moving statistics), trainable and non-trainable totals: the oracle
+# that `count_params` and `layer_table` are checked against.
+REFERENCE_LAYER_PARAMS = (568, 0, 32, 8992, 0, 128, 0, 12352, 0, 585)
+REFERENCE_TRAINABLE = 22577
+REFERENCE_NON_TRAINABLE = 80
+
 # Per-layer minimum distances from ReLU/pool ties required of a batch
 # before it is gradient-checked. conv2/pool2 need more margin because the
 # conv2 weight inflation also amplifies probe perturbations arriving from

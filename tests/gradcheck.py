@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from voicehand.layers import BatchNorm, Dropout
+from voicehand.layers import BatchNorm, Dropout, MaxPool2D
 from voicehand.network import INPUT_SHAPE, Network, run_layers
 from voicehand.train import N_CLASSES, cross_entropy
 
@@ -41,6 +41,16 @@ def _probe_mode(network: Network):
             layer.moving_var[...] = var
 
 
+def pool_tiles(x, ph, pw):
+    """The (ph, pw) max-pool tiles of x as (n, oh, ow, ph * pw, c),
+    row-major within a tile; trailing rows and columns that fill no tile
+    are dropped, as MaxPool2D drops them."""
+    n, h, w, c = x.shape
+    oh, ow = h // ph, w // pw
+    tiles = x[:, : oh * ph, : ow * pw].reshape(n, oh, ph, ow, pw, c).transpose(0, 1, 3, 2, 4, 5)
+    return tiles.reshape(n, oh, ow, ph * pw, c)
+
+
 def tie_margins(network: Network, x) -> dict:
     """Distance of each kinked layer from its nearest tie, {layer: margin}.
 
@@ -55,8 +65,9 @@ def tie_margins(network: Network, x) -> dict:
     margins = {}
     with _probe_mode(network) as probe:
         for layer in probe.layers:
-            if hasattr(layer, "tiles"):
-                top2 = np.partition(layer.tiles(h_act), -2, axis=3)[:, :, :, -2:, :]
+            if isinstance(layer, MaxPool2D):
+                tiles = pool_tiles(h_act, layer.pool_h, layer.pool_w)
+                top2 = np.partition(tiles, -2, axis=3)[:, :, :, -2:, :]
                 margins[layer.name] = float((top2[..., 1, :] - top2[..., 0, :]).min())
             if getattr(layer, "activation", None) == "relu":
                 margins[layer.name] = _relu_margin(layer, h_act)

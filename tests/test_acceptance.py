@@ -21,19 +21,14 @@ from voicehand.commands import StreamConfig, stream_decode
 from voicehand.dataset import index_dataset, subsample_unknown
 from voicehand.features import FEATURE_SHAPE, compute_features, log_compress, stft_power
 from voicehand.gestures import GestureClass, GestureTable, lookup_trajectory
-from voicehand.network import (
-    INPUT_SHAPE,
-    REFERENCE_LAYER_PARAMS,
-    build_network,
-    count_params,
-    output_shapes,
-)
+from voicehand.network import INPUT_SHAPE, build_network, count_params, output_shapes
 from voicehand.rng import substream
 from voicehand.synth import write_tone_dataset
 from voicehand.train import ClipStore, TrainConfig, evaluate, fit, one_hot, train_epoch
 from voicehand.wav import AudioClip
 
-from conftest import GRADCHECK_THRESHOLDS, inflate_convs, read_csv_rows
+from conftest import (GRADCHECK_THRESHOLDS, REFERENCE_LAYER_PARAMS, inflate_convs,
+                      read_csv_rows)
 from gradcheck import draw_checkable_batch, gradient_check
 
 REAL_DATA_ENV = "VOICEHAND_SPEECH_COMMANDS_DIR"

@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import voicehand.cli as cli
 from voicehand import atomic
-from voicehand.checkpoint import save_checkpoint
+from voicehand.checkpoint import load_checkpoint, save_checkpoint
 from voicehand.cli import CONFIG_KINDS, DATA_DIR_ENV, build_parser, main
 from voicehand.gestures import GestureTable
 from voicehand.network import build_network
@@ -408,6 +409,52 @@ def test_stream_into_a_closed_reader_exits_0_silently(trained, tmp_path):
     os.close(read_end)
     _, err = proc.communicate(samples.astype("<i2").tobytes(), timeout=120)
     assert (proc.returncode, err) == (0, b"")
+
+
+def test_sigint_ends_a_stream_with_exit_0_and_keeps_its_decisions(trained, tmp_path):
+    # 160 s of tone at a 70 ms hop is over 2000 windows; SIGINT goes out
+    # as the first decision line arrives, far from the end
+    path = tmp_path / "tone.wav"
+    write_wav(path, tone_samples(2000.0, 0.5, 1.0, n_samples=160 * 16000))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "voicehand.cli", "stream", "--checkpoint",
+         str(trained.best_ckpt), "--input", f"wav:{path}", "--hop-ms", "70"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.send_signal(signal.SIGINT)
+    rest, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    lines = (first + rest).decode().splitlines()
+    decisions = [json.loads(line) for line in lines]
+    assert decisions and decisions[-1]["t_ms"] < 150000
+
+
+def test_sigint_stops_train_with_exit_130_whole_log_rows_and_a_loadable_checkpoint(tmp_path):
+    root = write_tone_dataset(tmp_path / "tones", clips_per_class=6, seed=3)
+    out = tmp_path / "run"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "voicehand.cli", "train", "--data-dir", str(root),
+         "--out", str(out), "--epochs", "100000", "--batch-size", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONUNBUFFERED="1"),
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"epoch 0:")
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()  # a run of 100000 epochs must not outlive a failed test
+    assert (proc.returncode, err) == (130, b"interrupted\n")
+    text = (out / "training_log.csv").read_text()
+    assert text.endswith("\n")
+    rows = read_csv_rows(out / "training_log.csv")
+    assert len(rows) >= 2 and all(len(row) == 5 for row in rows)
+    assert [int(row[0]) for row in rows[1:]] == list(range(len(rows) - 1))
+    assert sorted(p.name for p in out.iterdir()) in (["training_log.csv"],
+                                                     ["best.ckpt", "training_log.csv"])
+    if (out / "best.ckpt").exists():
+        assert load_checkpoint(out / "best.ckpt", build_network())["epoch"] < len(rows) - 1
 
 
 class _FailingStdout(io.StringIO):

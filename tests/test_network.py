@@ -15,9 +15,6 @@ import voicehand.network
 from voicehand.errors import CheckpointError, VoicehandError
 from voicehand.network import (
     INPUT_SHAPE,
-    REFERENCE_LAYER_PARAMS,
-    REFERENCE_NON_TRAINABLE,
-    REFERENCE_TRAINABLE,
     Network,
     build_network,
     count_params,
@@ -27,7 +24,8 @@ from voicehand.network import (
 from voicehand.rng import substream
 from voicehand.train import one_hot
 
-from conftest import assert_same_grad_bits
+from conftest import (REFERENCE_LAYER_PARAMS, REFERENCE_NON_TRAINABLE, REFERENCE_TRAINABLE,
+                      assert_same_grad_bits)
 
 
 def test_declared_shape_progression():

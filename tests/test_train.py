@@ -5,12 +5,14 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from voicehand.adam import Adam
+from voicehand.audio import NoisePool
 from voicehand.dataset import index_dataset
 from voicehand.errors import CheckpointError, VoicehandError
 from voicehand.gestures import GestureClass
@@ -73,6 +75,21 @@ def _pcm_files(tmp_path):
     return paths
 
 
+def _fresh_features(paths, dtype):
+    """A (len(paths), 129, 71, 1) batch of each clip's log power
+    spectrogram, read and computed afresh and cast to dtype, as a
+    training batch is filled."""
+    from voicehand.audio import to_window
+    from voicehand.features import log_compress, stft_power
+    from voicehand.network import INPUT_SHAPE
+    from voicehand.wav import read_wav
+
+    batch = np.empty((len(paths),) + INPUT_SHAPE, dtype=dtype)
+    for row, path in enumerate(paths):
+        batch[row, :, :, 0] = log_compress(stft_power(to_window(read_wav(path))))
+    return batch
+
+
 def test_clip_store_caches_windows(tmp_path, monkeypatch):
     # the store reads each file once, keeps at most one window of int16
     # samples per path, and returns to_window(read_wav(path))'s bits, in a
@@ -103,14 +120,10 @@ def test_clip_store_caches_windows(tmp_path, monkeypatch):
 def test_clip_store_features_are_the_fresh_bits_read_only(tmp_path, dtype):
     # the cached features equal a fresh spectrogram of the clip, cast as
     # a training batch casts it, and nobody can change them in place
-    from voicehand.audio import to_window
-    from voicehand.train import _features_batch
-    from voicehand.wav import read_wav
-
     store = ClipStore()
     for path in _pcm_files(tmp_path):
         features = store.features(path, dtype)
-        want = _features_batch([to_window(read_wav(path))], dtype)[0, :, :, 0]
+        want = _fresh_features([path], dtype)[0, :, :, 0]
         assert features.shape == (129, 71) and features.dtype == dtype
         assert features.tobytes() == want.tobytes()
         assert not features.flags.writeable
@@ -173,18 +186,13 @@ def test_second_evaluate_computes_no_features(tiny_tree, monkeypatch):
 def test_evaluate_is_the_same_with_cold_warm_and_no_store(tiny_tree):
     # the network sees the bits of an uncached batch of fresh features and
     # the confusion is theirs, whichever store evaluate reads
-    from voicehand.audio import to_window
-    from voicehand.train import _features_batch
-    from voicehand.wav import read_wav
-
     entries = index_dataset(tiny_tree).split_entries("train")
     net = _small_net()
     want_batches = []
     want = np.zeros((9, 9), dtype=np.int64)
     for start in range(0, len(entries), 3):
         chunk = entries[start : start + 3]
-        want_batches.append(
-            _features_batch([to_window(read_wav(e.path)) for e in chunk], net.dtype))
+        want_batches.append(_fresh_features([e.path for e in chunk], net.dtype))
         probs, _ = net.forward(want_batches[-1], mode="infer")
         for entry, p in zip(chunk, np.argmax(probs, axis=1)):
             want[int(entry.label), int(p)] += 1
@@ -365,6 +373,26 @@ def test_train_epoch_frees_each_step_trace_before_the_next_forward(tiny_tree):
     train_epoch(net, entries, ClipStore(), None, Adam(), config, 0)
     assert len(traces) == 3
     assert traces[-1]() is None
+
+
+def test_train_step_peaks_below_27_mib(tmp_path):
+    # one batch-64 step, augmented, with the clip store and Adam warm: the
+    # batch is filled row by row; a list of its 64 float64 windows (8 MiB)
+    # held beside it put the peak at 31.1 MiB
+    index = index_dataset(write_tone_dataset(tmp_path, clips_per_class=30, seed=5))
+    entries = index.split_entries("train")[:64]
+    assert len(entries) == 64
+    net = build_network(seed=5)
+    config = TrainConfig(batch_size=64, seed=5)
+    store, pool, optimizer = ClipStore(), NoisePool.from_files(index.noise_files), Adam()
+    train_epoch(net, entries, store, pool, optimizer, config, 0)
+    tracemalloc.start()
+    try:
+        train_epoch(net, entries, store, pool, optimizer, config, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 27 * 2**20
 
 
 # Two epochs on a small tone set, with augmentation and a partial last
