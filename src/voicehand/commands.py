@@ -167,16 +167,10 @@ def window_probs(network, samples: np.ndarray, config: StreamConfig = StreamConf
     over the 6 kept frames followed by them, which are the frames its k
     new pool1 columns read, and takes the rest of its bn1 output from the
     previous window, shifted by k columns. The frames are the same bits as a
-    full window's, but conv1's matmul over fewer rows can round
-    differently, so the probabilities agree with `classify_window` within
-    1e-5 rather than bit for bit. At 70 ms conv1's 5 output columns take
-    the row-major patch matrix (see `layers.Conv2D`), and its float32
-    product is small enough for OpenBLAS's small-matrix kernel, which
-    rounds it differently from a full window's: on the tests' trained
-    model and stream recording the probabilities differ by up to 3e-7,
-    with the same argmax. From 140 ms on conv1 lowers row blocks, as on
-    a full window, and there they differ by 0. Any other hop runs
-    `classify_window` on each window.
+    full window's, and conv1 lowers the same row blocks over them as over
+    a full window (see `layers.Conv2D`), so every hop gives the same bits
+    as `classify_window`. Any other hop runs `classify_window` on each
+    window.
     """
     offsets = window_offsets(len(samples), config)
     prefix, suffix = network.layers[:3], network.layers[3:]
@@ -214,8 +208,8 @@ def stream_decode(network, samples: np.ndarray, table: GestureTable = None,
     the end of the emitting window.
 
     A hop that is a multiple of 70 ms, up to 840 ms, reuses work between
-    windows (see `window_probs`), with the same decisions as classifying
-    every window in full.
+    windows (see `window_probs`), with the same bits as `classify_window`
+    at every hop.
     """
     table = table or GestureTable.default()
     last_emit_ms = None

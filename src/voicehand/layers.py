@@ -26,11 +26,11 @@ positions only.
 
 Conv2D's forward runs the convolution as matmuls on patch matrices
 lowered one clip at a time into one reused buffer. With one input
-channel and an output wider than the filter (conv1 on a full window),
-one patch row feeds ROW_BLOCK vertically adjacent output rows through a
-banded weight matrix; otherwise a patch row feeds one output position
-(conv2). Either way each output sums the same products in the same
-order. See Conv2D.
+channel and output rows that ROW_BLOCK divides (conv1, on a full window
+and on every stream hop), one patch row feeds ROW_BLOCK vertically
+adjacent output rows through a banded weight matrix; otherwise a patch
+row feeds one output position (conv2). Either way each output sums the
+same products in the same order. See Conv2D.
 """
 
 from typing import NamedTuple
@@ -47,11 +47,12 @@ from .errors import VoicehandError
 CHUNK_ROWS = 384
 
 # Output rows one patch row feeds in Conv2D's row-block lowering (see
-# Conv2D). Conv1's forward on a 2-core VM, OpenBLAS 0.3.31 at 2 threads,
-# medians of five rounds over R: at batch 64, 26.5 ms at R = 4, 22-23 ms
-# from 6 to 24, 30.9 ms at 40; at batch 1, 0.32-0.34 ms from 6 to 16,
-# 0.55 ms at 40; on a 140 ms stream hop's 16 frames, 0.094 ms at 4,
-# 0.106 ms at 8, 0.142 ms at 16. 8 divides conv1's 120 output rows.
+# Conv2D); it must divide conv1's 120 output rows. Conv1's forward on a
+# 2-core VM, OpenBLAS 0.3.31 at 2 threads, medians of five rounds in two
+# runs over R: at batch 64, 17-24 ms from R = 4 to 12, 21-26 ms at 24;
+# at batch 1, 0.27-0.37 ms from 4 to 12, 0.35-0.47 ms at 24; on a 70 ms
+# stream hop's 11 frames, 0.05-0.06 ms from 4 to 10, 0.10-0.12 ms at 24;
+# on a 140 ms hop's 16 frames, 0.065 ms at 4, 0.09-0.10 ms at 8 and 10.
 ROW_BLOCK = 8
 
 # Input values one pass of MaxPool2D's winners' scan works on, in whole
@@ -154,29 +155,26 @@ class Conv2D(Layer):
     batch 64, against 133 MiB for its whole patch matrix. Infer mode
     caches nothing (None).
 
-    With one input channel and ow > fw (conv1 on a full window, and on a
-    stream hop of 140 ms and more), a patch row feeds R = ROW_BLOCK
-    vertically adjacent output rows: it holds the (fh + R - 1)·fw taps
-    they read, and a banded (taps, R·cout) weight matrix, whose output
-    row j holds the filter shifted down j rows and exact zeros elsewhere,
-    gives all R outputs in one product. The patches are lowered at the
-    clip's full width from a zero-padded copy of it, so each tap copies
-    runs of w input values, and the columns past ow and rows past oh are
-    dropped as the bias is added. OpenBLAS's gemm kernel sums each
-    output over its taps in order, and a zero tap adds an exact zero, so
-    the outputs are the bits of the patch matrix times the weights: of a
-    column-major patch matrix at any width, and of a row-major one but
-    where a float32 product is small enough for OpenBLAS's small-matrix
-    kernel, which rounds differently (conv1 on a 140 ms hop's 16
-    frames). A zero tap times an infinite or NaN input is NaN, though: a
+    With one input channel and oh a multiple of R = ROW_BLOCK (conv1's
+    129 input rows give 120 output rows, on a full window and on every
+    stream hop), a patch row feeds R vertically adjacent output rows: it
+    holds the (fh + R - 1)·fw taps they read, and a banded (taps, R·cout)
+    weight matrix, whose output row j holds the filter shifted down j
+    rows and exact zeros elsewhere, gives all R outputs in one product.
+    The patches are copied from a strided view of the clip, each tap a
+    run of ow input values, into a column-major patch matrix of
+    (oh / R)·ow rows. OpenBLAS's gemm kernel sums each output over its
+    taps in order, and a zero tap adds an exact zero, so the outputs are
+    the bits of the column-major patch matrix times the weights, at any
+    width. A zero tap times an infinite or NaN input is NaN, though: a
     non-finite input value makes NaN in all R output rows of each block
     that reads it, at the columns that read it, not only in the rows
     whose filter covers it. Such a window's output is not finite either
     way, and `network.run_layers` refuses it.
 
-    Otherwise (conv2, 8 channels; conv1 on a 70 ms stream hop's 11
-    frames, ow 5) a patch row is one output position, lowered row-major
-    by `lowered`, one run of fw·cin values per filter row.
+    Otherwise (conv2, 8 channels) a patch row is one output position,
+    lowered row-major by `lowered`, one run of fw·cin values per filter
+    row.
 
     Backward takes the output gradient as a `Routed`, the max pool's
     above it: only each tile's winner has a gradient, 1 in 35 conv1
@@ -217,10 +215,7 @@ class Conv2D(Layer):
             raise VoicehandError(f"{self.name}: input {h}x{w} smaller than filter {fh}x{fw}")
         oh, ow = h - fh + 1, w - fw + 1
         z = np.empty((n, oh, ow, cout), dtype=np.result_type(x, self.weights, self.biases))
-        # row blocks where they beat row-major patches: conv1 at batch 1 on
-        # the 2-core VM took 0.09-0.11 ms against 0.07-0.10 at ow 5 (a 70 ms
-        # hop), level at ow 7, 0.10-0.13 against 0.12-0.17 at ow 10 (140 ms)
-        fill = self._row_blocks if cin == 1 and ow > fw else self._rows
+        fill = self._row_blocks if cin == 1 and oh % ROW_BLOCK == 0 else self._rows
         for zi in fill(x, z):
             np.maximum(zi, 0.0, out=zi)
         if mode != "train":
@@ -245,33 +240,25 @@ class Conv2D(Layer):
         ROW_BLOCK output rows per patch row (see the class docstring);
         yields each clip's filled z[i]."""
         fh, fw, _, cout = self.weights.shape
-        n, h, w, _ = x.shape
         oh, ow = z.shape[1:3]
         r = ROW_BLOCK
-        blocks, taps = -(-oh // r), fh + r - 1  # taps: the input rows one block reads
+        blocks, taps = oh // r, fh + r - 1  # taps: the input rows one block reads
         band = np.zeros((taps, fw, r, cout), dtype=self.weights.dtype)
         for j in range(r):
             band[j : j + fh, :, j] = self.weights[:, :, 0]
         band = band.reshape(taps * fw, r * cout)
-        # a clip over zeros: a block's patch row reads fw - 1 values past the
-        # end of an input row, and the last block reads rows past the clip
-        padded = np.zeros((blocks * r + fh, w), dtype=x.dtype)
-        step = padded.strides[1]
-        patches = np.lib.stride_tricks.as_strided(
-            padded, (taps, fw, blocks, w), (w * step, step, r * w * step, step), writeable=False)
-        buf = np.empty(patches.shape, dtype=x.dtype)
-        cols = buf.reshape(taps * fw, blocks * w).T
-        out = np.empty((blocks * w, r * cout), dtype=z.dtype)
-        # (block, output row in block, column, channel), cropped to ow columns
-        blocked = out.reshape(blocks, w, r, cout)[:, :ow].transpose(0, 2, 1, 3)
-        whole = oh // r
-        for i in range(n):
-            padded[:h] = x[i, :, :, 0]
-            buf[...] = patches
+        buf = np.empty((taps, fw, blocks, ow), dtype=x.dtype)
+        cols = buf.reshape(taps * fw, blocks * ow).T
+        out = np.empty((blocks * ow, r * cout), dtype=z.dtype)
+        blocked = out.reshape(blocks, ow, r, cout).transpose(0, 2, 1, 3)  # (block, row, col, ch)
+        # tap (t, b) of block k at column q is x[i, k·r + t, q + b]: the last
+        # block reads up to row h - 1 and the last column up to w - 1
+        row, col = x.strides[1:3]
+        for i in range(x.shape[0]):
+            buf[...] = np.lib.stride_tricks.as_strided(
+                x[i], buf.shape, (row, col, r * row, col), writeable=False)
             np.matmul(cols, band, out=out)
-            np.add(blocked[:whole], self.biases, out=z[i, : whole * r].reshape(whole, r, ow, cout))
-            if whole < blocks:
-                np.add(blocked[whole, : oh - whole * r], self.biases, out=z[i, whole * r :])
+            np.add(blocked, self.biases, out=z[i].reshape(blocks, r, ow, cout))
             yield z[i]
 
     def lowered(self, x):

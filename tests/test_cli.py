@@ -134,6 +134,20 @@ def test_features_failed_write_keeps_the_earlier_csv(tmp_path, capsys, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv", "t.wav"]
 
 
+@pytest.mark.parametrize("target", ["missing/grid.csv", "."])
+def test_features_failed_write_names_the_out_path(tmp_path, capsys, monkeypatch, target):
+    # a directory that does not exist, then a path that is a directory:
+    # the error names --out, not the temporary file next to it
+    monkeypatch.chdir(tmp_path)
+    wav = tone_wav(tmp_path / "t.wav", 2000.0)
+    code, out, err = run_cli(capsys, "features", "--wav", str(wav), "--out", target)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("data error:") and err.rstrip().endswith(repr(target))
+    assert ".tmp" not in err and len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.wav"]
+
+
 def test_features_missing_wav_is_data_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "features", "--wav", str(tmp_path / "no.wav"),
                            "--out", str(tmp_path / "o.csv"))

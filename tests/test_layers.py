@@ -705,11 +705,13 @@ def _assert_matches_reference(layer, x, d_out, got_x, grads):
         assert np.abs(got - oracle).max() <= 64 * eps * np.abs(oracle).max()
 
 
-# conv1 on a full window (row blocks), conv1 on a 70 ms stream hop's 11
-# frames and conv2 on pool1's output (both row-major), and conv1 on 131
-# rows, whose 122 output rows end in a short row block
+# conv1 on a full window and on 137 rows, 15 and 16 row blocks; conv2 on
+# pool1's output and conv1 on 131 rows, whose 122 output rows ROW_BLOCK
+# does not divide (both row-major). Conv1 on a stream hop's frames is
+# checked against a column-major patch matrix below, as its float32
+# row-major product can round differently
 NETWORK_CONVS = [((10, 7, 1, 8), (1, 129, 71, 1)), ((10, 7, 1, 8), (2, 129, 71, 1)),
-                 ((10, 7, 1, 8), (1, 129, 11, 1)),
+                 ((10, 7, 1, 8), (1, 137, 71, 1)),
                  ((7, 5, 8, 32), (1, 17, 13, 8)), ((7, 5, 8, 32), (2, 17, 13, 8)),
                  ((10, 7, 1, 8), (2, 131, 71, 1))]
 
@@ -739,8 +741,7 @@ def test_conv_is_row_major_reference_bit_for_bit_at_network_size(dtype, w_shape,
 def test_conv_weight_gradient_chunks_that_end_a_clip_short(dtype, cin):
     # 38x298 = 11324 output positions a clip, not a multiple of
     # CHUNK_ROWS: one chunk holds the end of the first clip and the start
-    # of the second, and the batch ends in a shorter chunk; one channel
-    # lowers row blocks in forward, two row-major
+    # of the second, and the batch ends in a shorter chunk
     assert 11324 % CHUNK_ROWS and 2 * 11324 % CHUNK_ROWS
     rng = np.random.default_rng(43)
     layer = Conv2D("c", rng.normal(size=(3, 3, cin, 2)).astype(dtype),
@@ -752,17 +753,16 @@ def test_conv_weight_gradient_chunks_that_end_a_clip_short(dtype, cin):
     _assert_matches_reference(layer, x, d_out, *layer.backward(d_out, cache))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_conv1_on_a_140_ms_hop_is_the_column_major_product(dtype):
-    # conv1 on a 140 ms stream hop's 16 frames lowers row blocks. In
-    # float32 the row-major (1200, 70) @ (70, 8) product is small enough
-    # for OpenBLAS's small-matrix kernel, which rounds differently from
-    # its regular kernel; row blocks, a full window's row-major product
-    # and a column-major patch matrix's go through the regular one
+def _assert_conv1_is_the_column_major_product(frames, dtype):
+    # conv1 on a stream hop's frames lowers row blocks. In float32 the
+    # row-major (oh·ow, 70) @ (70, 8) product of a few output columns is
+    # small enough for OpenBLAS's small-matrix kernel, which rounds
+    # differently from its regular kernel; row blocks and a column-major
+    # patch matrix go through the regular one
     rng = np.random.default_rng(42)
     layer = Conv2D("c", (rng.normal(size=(10, 7, 1, 8)) * 0.2).astype(dtype),
                    (rng.normal(size=8) * 0.1).astype(dtype))
-    x = rng.normal(size=(1, 129, 16, 1)).astype(dtype)
+    x = rng.normal(size=(1, 129, frames, 1)).astype(dtype)
     cols = np.asfortranarray(_lowered(layer, x))
     want = np.maximum(cols @ layer.weights.reshape(-1, 8) + layer.biases, 0.0)
     y, cache = layer.forward(x, "train")
@@ -773,22 +773,49 @@ def test_conv1_on_a_140_ms_hop_is_the_column_major_product(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv1_on_a_70_ms_hop_is_the_column_major_product(dtype):
+    _assert_conv1_is_the_column_major_product(11, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv1_on_a_140_ms_hop_is_the_column_major_product(dtype):
+    _assert_conv1_is_the_column_major_product(16, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", range(1, 13))
+def test_conv1_on_an_aligned_hop_is_the_full_windows_last_columns(k, dtype):
+    # a hop of k pool1 columns runs conv1 on the last 5k + 6 log frames;
+    # its 5k output columns are the bits of a full window's last 5k
+    rng = np.random.default_rng(48)
+    layer = Conv2D("c", (rng.normal(size=(10, 7, 1, 8)) * 0.2).astype(dtype),
+                   (rng.normal(size=8) * 0.1).astype(dtype))
+    x = rng.normal(size=(1, 129, 71, 1)).astype(dtype)
+    full, _ = layer.forward(x)
+    hop, _ = layer.forward(x[:, :, 71 - (5 * k + 6) :])
+    assert_same_bits(hop, full[:, :, 65 - 5 * k :])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_row_blocks_keep_the_sign_of_zero(dtype):
     # an all-zero clip (+0.0, then -0.0) makes every product a signed zero,
     # and signed-zero biases make the pre-activations' sign depend on the
-    # order of the adds; they match the row-major patch matrix's, zero
-    # taps and all; 131 rows make 122 output rows, a short last row block
-    assert (131 - 10 + 1) % ROW_BLOCK
+    # order of the adds; row blocks match the row-major patch matrix's,
+    # zero taps and all, and so does forward on 131 rows, whose 122
+    # output rows take the row-major path
+    assert (129 - 10 + 1) % ROW_BLOCK == 0 and (131 - 10 + 1) % ROW_BLOCK
     rng = np.random.default_rng(44)
     layer = Conv2D("c", rng.normal(size=(10, 7, 1, 8)).astype(dtype),
                    np.array([0.0, -0.0] * 3 + [0.5, -0.5], dtype=dtype))
-    x = np.zeros((2, 131, 71, 1), dtype=dtype)
+    x = np.zeros((2, 129, 71, 1), dtype=dtype)
     x[1] = -0.0
-    z = np.empty((2, 122, 65, 8), dtype=dtype)
+    z = np.empty((2, 120, 65, 8), dtype=dtype)
     for _ in layer._row_blocks(x, z):
         pass
     want = _lowered(layer, x) @ layer.weights.reshape(-1, 8) + layer.biases
     assert_same_bits(z, want.reshape(z.shape))
+    x = np.zeros((2, 131, 71, 1), dtype=dtype)
+    x[1] = -0.0
     y, _ = layer.forward(x, "train")
     assert_same_bits(y, _reference(layer, x, every_position(y))[0])
     assert_same_bits(layer.forward(x, "infer")[0], y)

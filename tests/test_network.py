@@ -314,10 +314,11 @@ def test_conv_weight_gradients_do_not_depend_on_the_blas_thread_count():
 # sha256 of infer-mode probabilities at batch 1, 3 and 64, then of every
 # (offset, probabilities) pair `window_probs` yields at the 70 ms (cached)
 # and 500 ms (per-window) hops, for a fresh network with scrambled
-# batch-norm statistics. Recorded while conv and pool still built their
-# training caches in infer mode, so it pins the infer path to the bit.
+# batch-norm statistics. It is also the digest of the same script with
+# every 70 ms window run through `classify_window` in full, as the stream
+# cache gives the uncached bits, so it pins the infer path to the bit.
 # One BLAS thread, in a process of its own.
-INFER_DIGEST = "6f41bf1398c89a8c63345def26f085c258853316db9dc0c0691abeda81b88fb8"
+INFER_DIGEST = "882d2c59909638bace5729578efffb55c47bd4d73a2d974bd46f4b24818727d7"
 
 INFER_SCRIPT = """
 import hashlib

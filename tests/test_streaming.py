@@ -189,26 +189,16 @@ def test_aligned_hops_decide_as_the_uncached_path(trained, hop_ms, refractory_ms
     assert _wire(got) == _wire(want)
 
 
-@pytest.mark.parametrize("hop_ms", ALIGNED_HOPS)
-def test_aligned_hops_match_every_window_within_tolerance(trained, hop_ms):
+@pytest.mark.parametrize("hop_ms", ALIGNED_HOPS + (500,))
+def test_every_hop_gives_the_uncached_bits(trained, hop_ms):
+    # aligned hops take the stream cache; 500 ms classifies each window
     samples = _mixed_recording()
     config = StreamConfig(hop_ms=hop_ms)
     want = _reference_probs(trained.network, samples, config)
     got = list(window_probs(trained.network, samples, config))
     assert [o for o, _ in got] == [o for o, _ in want]
     for (offset, p), (_, q) in zip(got, want):
-        assert p.dtype == q.dtype
-        np.testing.assert_allclose(p, q, rtol=0, atol=1e-5, err_msg=f"offset {offset}")
-        assert np.argmax(p) == np.argmax(q), offset
-
-
-def test_unaligned_hop_is_bitwise_the_uncached_path(trained):
-    samples = _mixed_recording()
-    config = StreamConfig(hop_ms=500)
-    want = _reference_probs(trained.network, samples, config)
-    got = list(window_probs(trained.network, samples, config))
-    assert [o for o, _ in got] == [o for o, _ in want]
-    assert all(p.tobytes() == q.tobytes() for (_, p), (_, q) in zip(got, want))
+        assert p.dtype == q.dtype and p.tobytes() == q.tobytes(), offset
 
 
 @pytest.mark.parametrize("hop_ms", (70, 500))
